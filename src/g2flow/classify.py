@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, G2FlowError, SeedError, StiffnessError
-from .flow import Budget, StopEvent, Trajectory, integrate, state_to_vec, vec_to_state
+from .flow import CHAMBER_CUSHION, Budget, StopEvent, Trajectory, integrate, state_to_vec, vec_to_state
 from .invariants import FullState, U1State, eval_F, u1_from_full
 from .params import ModelParams
 from .seeds import NUINF, SeedSpec
 
-CHAMBER_CUSHION = 1e-9
 ELL_CROSS_TOL = 0.02
 AC_RATIO_TOL = 1e-4
 AC_EXPONENT_WINDOW = 0.5

@@ -34,7 +34,6 @@ class RunConfig:
     tol: float = 1e-6
     k: float = 1.5
     rtol: float = 1e-11
-    chamber_cushion: float = 1e-9
     t_factor: float = 3e3
     max_steps: int = 400_000
     confirm_blowup: bool = False
@@ -75,7 +74,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    for name in ("tol", "rtol", "chamber_cushion"):
+    for name in ("tol", "rtol"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
     if not (1.0 < cfg.k < 2.0):

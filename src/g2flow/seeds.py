@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -34,18 +35,11 @@ _PROBE = 1.0 / math.pi  # probe exponent for linearization extraction
 _FIXED_POINT_TOL = 1e-9
 _SHIFT_TOL = 1e-8
 
-DEFAULT_ORDERS = {
-    "delta_su2": 10.0,
-    "su2_factor": 10.0,
-    "k11": 10.0,
-    "kmn": 10.0,
-    # six nu0-harmonics keep the tail below 1e-10 at the default switch point
-    "cs_end": 6 * NU0 + 1e-9,
-    "ac_end": 15.0,
-}
+_AC_MIN_ORDER = 15.0
 
 # escalation ladders: the order is raised until the tail bound at the switch
-# parameter and the Hamiltonian budget of the emitted state are met
+# parameter and the Hamiltonian budget of the emitted state are met; six
+# nu0-harmonics keep the cs_end tail below 1e-10 at the default switch point
 _ORDER_LADDER = {
     "delta_su2": (10.0, 14.0, 18.0, 24.0, 30.0),
     "su2_factor": (10.0, 14.0, 18.0, 24.0, 30.0),
@@ -155,32 +149,36 @@ class RepairContext:
     matrix: np.ndarray  # (h.g) Id - dPhi, singular
     rhs: np.ndarray  # Q_h
     kernel: np.ndarray
-    solution: SeriesSolutionBuilder = None  # type: ignore[assignment]
+    solution: SeriesSolutionBuilder
 
     def build_with(self, candidate: np.ndarray) -> list[Series]:
         return self.solution.partial_series(extra={self.index: candidate})
 
 
 class SeriesSolutionBuilder:
+    """The coefficients found so far, one dense vector per unknown over
+    `lattice.indices_upto(order + shift_pad)`: a partial series is a prefix."""
+
     def __init__(self, lattice: ExponentLattice, order: float, shift_pad: float, y0: np.ndarray):
         self.lattice = lattice
         self.order = order
         self.shift_pad = shift_pad
-        self.y0 = np.asarray(y0, dtype=float)
+        # the full-order series come first, so lower orders reuse their index tables
+        self.values = np.array([Series.constant(lattice, order + shift_pad, y).vector for y in y0])
+        self.position = {h: i for i, h in enumerate(lattice.indices_upto(order + shift_pad))}
         self.coeffs: dict[tuple, np.ndarray] = {}
+
+    def record(self, h: tuple, coeff: np.ndarray):
+        self.values[:, self.position[h]] = coeff
+        if np.max(np.abs(coeff)) > 0:
+            self.coeffs[h] = coeff
 
     def partial_series(self, upto: float | None = None, extra: dict | None = None) -> list[Series]:
         order = (upto if upto is not None else self.order) + self.shift_pad
-        k = len(self.y0)
-        out = [Series.constant(self.lattice, order, self.y0[i]) for i in range(k)]
-        items = dict(self.coeffs)
-        if extra:
-            items.update(extra)
-        for h, vec in items.items():
-            for i in range(k):
-                if vec[i] != 0.0:
-                    out[i] = out[i] + Series.monomial(self.lattice, order, h, vec[i])
-        return out
+        values = self.values[:, : len(self.lattice.indices_upto(order))].copy()
+        for h, vec in (extra or {}).items():
+            values[:, self.position[h]] = vec
+        return [Series(self.lattice, order, row) for row in values]
 
 
 def _linearize(rhs, y0: np.ndarray, lattice: ExponentLattice, shift_pad: float) -> np.ndarray:
@@ -193,9 +191,7 @@ def _linearize(rhs, y0: np.ndarray, lattice: ExponentLattice, shift_pad: float) 
     for j in range(k):
         ys = [Series.constant(probe_lat, order, y0[i]) for i in range(k)]
         ys[j] = ys[j] + Series.monomial(probe_lat, order, unit, 1.0)
-        F = rhs(ys)
-        for i in range(k):
-            A[i, j] = F[i].coeff(unit)
+        A[:, j] = [f.coeff(unit) for f in rhs(ys)]
     return A
 
 
@@ -268,8 +264,7 @@ def solve_singular_ivp(
         elif h in repairs:
             _, _, vt = np.linalg.svd(M)
             kernel = vt[-1]
-            ctx = RepairContext(index=h, exponent=e, matrix=M, rhs=Q, kernel=kernel)
-            ctx.solution = builder
+            ctx = RepairContext(index=h, exponent=e, matrix=M, rhs=Q, kernel=kernel, solution=builder)
             coeff = repairs[h](ctx)
             repaired.append(h)
         else:
@@ -284,8 +279,7 @@ def solve_singular_ivp(
                     obstruction=obstruction,
                 )
             coeff = np.linalg.solve(M, Q)
-        if np.max(np.abs(coeff)) > 0:
-            builder.coeffs[h] = coeff
+        builder.record(h, coeff)
 
     return SeriesSolution(
         base=y0,
@@ -311,7 +305,7 @@ def _newton_fixed_point(rhs, guess: np.ndarray, generators, shift_pad: float) ->
     lattice = ExponentLattice(tuple(generators))
     y = np.array(guess, dtype=float)
     for _ in range(80):
-        ys = [Series.constant(ExponentLattice(tuple(generators)), shift_pad + 0.05, yi) for yi in y]
+        ys = [Series.constant(lattice, shift_pad + 0.05, yi) for yi in y]
         F = rhs(ys)
         c = np.array([f.const for f in F])
         scale = 1.0 + max(f.magnitude() for f in F)
@@ -568,35 +562,44 @@ def _check_seed_state(state, params: ModelParams, tol_scale: float = 1e-10):
     return state
 
 
+def _seed_by_ladder(family: str, order, t: float, params: ModelParams, solve, state_of):
+    """Series and checked state from the first order that passes.
+
+    The order climbs the family's ladder (or is `order` alone when given)
+    until the series tail at the switch parameter t and the Hamiltonian of
+    the emitted state pass their checks; the last SeedError is re-raised
+    when no order does.  `solve(order=...)` returns the series solution and
+    `state_of(sol)` the state it emits.
+    """
+    last_exc = None
+    for trial in (order,) if order is not None else _ORDER_LADDER[family]:
+        sol = solve(order=trial)
+        state = state_of(sol)
+        try:
+            _check_series_tail(sol, t)
+            return sol, _check_seed_state(state, params)
+        except SeedError as exc:
+            last_exc = exc
+    raise last_exc
+
+
 def seed_delta_su2(r0, alpha1, alpha2, alpha3, t_switch, order=None):
     """Series and state for the family closing on the diagonal singular S^3."""
     if r0 <= 0:
         raise ConstraintError("delta_su2 requires r0 > 0")
     if abs(64 * r0 * (alpha1 + alpha2 + alpha3) - 1.0) > 1e-12:
         raise ConstraintError("delta_su2 requires 64 r0 (alpha1 + alpha2 + alpha3) = 1")
-    params = ModelParams.delta_su2(r0)
     al = (alpha1, alpha2, alpha3)
     y0 = np.array([2 * r0 * (al[1] + al[2]), 2 * r0 * (al[2] + al[0]), 2 * r0 * (al[0] + al[1]), *al])
     t = t_switch
-    last_exc = None
-    for trial in (order,) if order is not None else _ORDER_LADDER["delta_su2"]:
-        sol = solve_singular_ivp(
-            _phi_delta_su2(r0),
-            y0,
-            (1.0,),
-            trial,
-            shift_pad=2.0,
-            meta={"family": "delta_su2", "r0": r0, "alphas": list(al), "t_switch": t_switch},
-        )
+    meta = {"family": "delta_su2", "r0": r0, "alphas": list(al), "t_switch": t_switch}
+    solve = partial(solve_singular_ivp, _phi_delta_su2(r0), y0, (1.0,), shift_pad=2.0, meta=meta)
+
+    def state_of(sol):
         XY = sol.evaluate(t)
-        x = r0**2 * t**2 / 4 + t**4 * XY[:3]
-        y = r0**3 + r0 * t**2 / 4 + t**4 * XY[3:]
-        try:
-            _check_series_tail(sol, t)
-            return sol, _check_seed_state(FullState(x=x, y=y), params)
-        except SeedError as exc:
-            last_exc = exc
-    raise last_exc
+        return FullState(x=r0**2 * t**2 / 4 + t**4 * XY[:3], y=r0**3 + r0 * t**2 / 4 + t**4 * XY[3:])
+
+    return _seed_by_ladder("delta_su2", order, t, ModelParams.delta_su2(r0), solve, state_of)
 
 
 def seed_su2_factor(r0, alpha1, alpha2, alpha3, t_switch, order=None):
@@ -607,7 +610,6 @@ def seed_su2_factor(r0, alpha1, alpha2, alpha3, t_switch, order=None):
         raise ConstraintError("su2_factor requires alpha_i > 0")
     if abs(alpha1 * alpha2 * alpha3 - 1.0) > 1e-12:
         raise ConstraintError("su2_factor requires alpha1 alpha2 alpha3 = 1")
-    params = ModelParams.su2_factor(r0)
     al = (alpha1, alpha2, alpha3)
     y0 = np.array(
         [
@@ -620,22 +622,14 @@ def seed_su2_factor(r0, alpha1, alpha2, alpha3, t_switch, order=None):
         ]
     )
     t = t_switch
-    last_exc = None
-    for trial in (order,) if order is not None else _ORDER_LADDER["su2_factor"]:
-        sol = solve_singular_ivp(
-            _phi_su2_factor(r0),
-            y0,
-            (1.0,),
-            trial,
-            meta={"family": "su2_factor", "r0": r0, "alphas": list(al), "t_switch": t_switch},
-        )
+    meta = {"family": "su2_factor", "r0": r0, "alphas": list(al), "t_switch": t_switch}
+    solve = partial(solve_singular_ivp, _phi_su2_factor(r0), y0, (1.0,), meta=meta)
+
+    def state_of(sol):
         XY = sol.evaluate(t)
-        try:
-            _check_series_tail(sol, t)
-            return sol, _check_seed_state(FullState(x=t**2 * XY[:3], y=t**2 * XY[3:]), params)
-        except SeedError as exc:
-            last_exc = exc
-    raise last_exc
+        return FullState(x=t**2 * XY[:3], y=t**2 * XY[3:])
+
+    return _seed_by_ladder("su2_factor", order, t, ModelParams.su2_factor(r0), solve, state_of)
 
 
 def seed_kmn(m, n, r0, beta, alpha=None, t_switch=0.1, order=None):
@@ -651,7 +645,6 @@ def seed_kmn(m, n, r0, beta, alpha=None, t_switch=0.1, order=None):
         if abs(alpha) >= 1:
             raise ConstraintError("k11 requires |alpha| < 1")
         return _seed_k11(r0, float(alpha), beta, t_switch, order)
-    params = ModelParams.kmn(m, n, r0)
     mn3 = m * n * r0**3
     y0 = np.array(
         [
@@ -662,32 +655,19 @@ def seed_kmn(m, n, r0, beta, alpha=None, t_switch=0.1, order=None):
         ]
     )
     t = t_switch
-    orders = (order,) if order is not None else _ORDER_LADDER["kmn"]
-    last_exc = None
-    for trial in orders:
-        sol = solve_singular_ivp(
-            _phi_kmn(m, n, r0, beta),
-            y0,
-            (1.0,),
-            trial,
-            meta={"family": "kmn", "m": m, "n": n, "r0": r0, "beta": beta, "t_switch": t_switch},
-        )
+    meta = {"family": "kmn", "m": m, "n": n, "r0": r0, "beta": beta, "t_switch": t_switch}
+    solve = partial(solve_singular_ivp, _phi_kmn(m, n, r0, beta), y0, (1.0,), meta=meta)
+
+    def state_of(sol):
         X1, X3, Y1, Y3 = sol.evaluate(t)
         a = t * Y1
         b = mn3 + t**2 * Y3
-        state = FullState(
-            x=np.array([t * X1, t * X1, r0**4 * beta**2 + t**2 * X3]), y=np.array([a, a, b])
-        )
-        try:
-            _check_series_tail(sol, t)
-            return sol, _check_seed_state(state, params)
-        except SeedError as exc:
-            last_exc = exc
-    raise last_exc
+        return FullState(x=np.array([t * X1, t * X1, r0**4 * beta**2 + t**2 * X3]), y=np.array([a, a, b]))
+
+    return _seed_by_ladder("kmn", order, t, ModelParams.kmn(m, n, r0), solve, state_of)
 
 
 def _seed_k11(r0, alpha, beta, t_switch, order=None):
-    params = ModelParams.kmn(1, 1, r0)
     guess = np.array(
         [
             2 * r0**3 * math.sqrt(1 - alpha**2),
@@ -701,25 +681,16 @@ def _seed_k11(r0, alpha, beta, t_switch, order=None):
     rhs = _phi_k11(r0, alpha, beta)
     y0 = _newton_fixed_point(rhs, guess, (1.0,), shift_pad=2.0)
     t = t_switch
-    last_exc = None
-    for trial in (order,) if order is not None else _ORDER_LADDER["k11"]:
-        sol = solve_singular_ivp(
-            rhs,
-            y0,
-            (1.0,),
-            trial,
-            shift_pad=2.0,
-            meta={"family": "k11", "r0": r0, "alpha": alpha, "beta": beta, "t_switch": t_switch},
-        )
+    meta = {"family": "k11", "r0": r0, "alpha": alpha, "beta": beta, "t_switch": t_switch}
+    solve = partial(solve_singular_ivp, rhs, y0, (1.0,), shift_pad=2.0, meta=meta)
+
+    def state_of(sol):
         X1, X2, X3, Y1, Y2, Y3 = sol.evaluate(t)
         x = np.array([t * X1, t * X2, r0**4 * beta**2 + t**2 * X3])
         y = np.array([r0**3 * alpha + t * Y1, -(r0**3) * alpha + t * Y2, r0**3 + t**2 * Y3])
-        try:
-            _check_series_tail(sol, t)
-            return sol, _check_seed_state(FullState(x=x, y=y), params)
-        except SeedError as exc:
-            last_exc = exc
-    raise last_exc
+        return FullState(x=x, y=y)
+
+    return _seed_by_ladder("k11", order, t, ModelParams.kmn(1, 1, r0), solve, state_of)
 
 
 def seed_cs_end(c, t_switch, order=None):
@@ -727,23 +698,10 @@ def seed_cs_end(c, t_switch, order=None):
     if t_switch <= 0:
         raise ConstraintError("cs_end requires t_switch > 0")
     v = np.array([-(3.0 + NU0) / 6.0, (3.0 + NU0) / 3.0, 0.5, -1.0])
-    last_exc = None
-    for trial in (order,) if order is not None else _ORDER_LADDER["cs_end"]:
-        sol = solve_singular_ivp(
-            _phi_cs(),
-            np.zeros(4),
-            (NU0,),
-            trial,
-            free_modes={0: (c, v)},
-            meta={"family": "cs_end", "c": c, "t_switch": t_switch},
-        )
-        state = _cs_state(sol, t_switch)
-        try:
-            _check_series_tail(sol, t_switch)
-            return sol, _check_seed_state(state, ModelParams.cone())
-        except SeedError as exc:
-            last_exc = exc
-    raise last_exc
+    meta = {"family": "cs_end", "c": c, "t_switch": t_switch}
+    solve = partial(solve_singular_ivp, _phi_cs(), np.zeros(4), (NU0,), free_modes={0: (c, v)}, meta=meta)
+    state_of = partial(_cs_state, t=t_switch)
+    return _seed_by_ladder("cs_end", order, t_switch, ModelParams.cone(), solve, state_of)
 
 
 def _cs_state(sol: SeriesSolution, t: float) -> U1State:
@@ -811,7 +769,7 @@ def seed_ac_end(params: ModelParams, c, T_switch, order=None):
         if rho >= 0.7:
             raise SeedError(f"T_switch = {T_switch} too small: series ratio {rho:.2f} >= 0.7")
         h0max = 5 if rho == 0 else min(60, max(5, int(math.ceil(math.log(1e-12) / math.log(rho)))))
-        order = max(DEFAULT_ORDERS["ac_end"], 3.0 * h0max + 0.5)
+        order = max(_AC_MIN_ORDER, 3.0 * h0max + 0.5)
     unit = _ac_series_unit(p, q, order)
     coeffs = {h: np.asarray(vec) * c ** h[1] for h, vec in unit.coefficients.items()}
     coeffs = {h: vec for h, vec in coeffs.items() if np.max(np.abs(vec)) > 0}
@@ -893,23 +851,17 @@ class SeedSpec:
     def build(self):
         t = self.switch_parameter if self.switch_parameter is not None else self.default_switch()
         if self.family == "delta_su2":
-            a1, a2, a3 = self.alphas
-            params = ModelParams.delta_su2(self.r0)
-            sol, state = seed_delta_su2(self.r0, a1, a2, a3, t, self.order)
-            return params, state, sol
+            sol, state = seed_delta_su2(self.r0, *self.alphas, t, self.order)
+            return ModelParams.delta_su2(self.r0), state, sol
         if self.family == "su2_factor":
-            a1, a2, a3 = self.alphas
-            params = ModelParams.su2_factor(self.r0)
-            sol, state = seed_su2_factor(self.r0, a1, a2, a3, t, self.order)
-            return params, state, sol
+            sol, state = seed_su2_factor(self.r0, *self.alphas, t, self.order)
+            return ModelParams.su2_factor(self.r0), state, sol
         if self.family in ("kmn", "k11"):
-            params = ModelParams.kmn(self.m, self.n, self.r0)
             sol, state = seed_kmn(self.m, self.n, self.r0, self.beta, self.alpha, t, self.order)
-            return params, state, sol
+            return ModelParams.kmn(self.m, self.n, self.r0), state, sol
         if self.family == "cs_end":
-            params = ModelParams.cone()
             sol, state = seed_cs_end(self.c, t, self.order)
-            return params, state, sol
+            return ModelParams.cone(), state, sol
         if self.family == "ac_end":
             params = ModelParams.plain(self.p or 0.0, self.q or 0.0)
             sol, state = seed_ac_end(params, self.c, t, self.order)

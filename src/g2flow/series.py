@@ -2,16 +2,27 @@
 
 A series lives on an exponent lattice generated by a tuple of positive real
 generators (g_0, ..., g_{m-1}): terms are c_h * t^(h . g) for multi-indices
-h in Z_{>=0}^m.  Coefficients are floats; all operations truncate beyond a
-fixed order.  Division and square roots are done by Newton iteration on the
-series, so any right-hand side built from +, *, /, sqrt can be composed
-automatically.
+h in Z_{>=0}^m, with float coefficients, truncated beyond a fixed order.
+Both operands of a binary operation share lattice and order.
+
+A series is one dense vector over `lattice.indices_upto(order)`, sorted by
+exponent, so the positions of a lower order are a prefix of those of a
+higher one.  A cache per (generators, order) holds the position map, the
+exponents and the table of position pairs whose exponents sum to at most the
+order; lower orders are views of the highest order built.  A product is a
+truncated convolution on a one-generator lattice, otherwise a weighted
+bincount over the table.  Reciprocals and square roots use the O(N^2)
+coefficient recurrences (Knuth, TAOCP vol. 2, 4.7), so any right-hand side
+built from +, *, /, sqrt composes automatically.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import itertools
+import operator
+from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import NonAnalyticError
 
@@ -43,87 +54,179 @@ class ExponentLattice:
 
 @lru_cache(maxsize=None)
 def _enumerate_indices(generators: tuple[float, ...], order: float) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
+    def exponent(h):
+        return sum(hi * gi for hi, gi in zip(h, generators))
 
-    def rec(prefix: tuple[int, ...], remaining: float, gens: tuple[float, ...]):
-        if not gens:
-            out.append(prefix)
-            return
-        g = gens[0]
-        k = 0
-        while k * g <= remaining + _EXP_TOL:
-            rec(prefix + (k,), remaining - k * g, gens[1:])
-            k += 1
+    box = itertools.product(*(range(int((order + _EXP_TOL) // g) + 1) for g in generators))
+    return sorted((h for h in box if exponent(h) <= order + _EXP_TOL), key=exponent)
 
-    rec((), order, generators)
-    out.sort(key=lambda h: sum(hi * gi for hi, gi in zip(h, generators)))
-    return out
+
+@dataclass(eq=False)
+class _Basis:
+    """Positions of one (generators, order).  `position` may be shared with a
+    higher order, whose positions from `size` on are not in this basis.
+    `pairs` holds the positions (I, J, K) of each product term a_I b_J ->
+    t^(e_I + e_J), sorted by K; `terms[k]` the (I, J) landing on k."""
+
+    dim: int
+    size: int
+    position: dict
+    exponents: np.ndarray
+    pairs: np.ndarray
+    terms: list
+    prefixes: dict = field(default_factory=dict)
+    shifts: dict = field(default_factory=dict)
+
+    @classmethod
+    def build(cls, generators: tuple[float, ...], order: float) -> _Basis:
+        indices = _enumerate_indices(generators, order)
+        n = len(indices)
+        position = {h: i for i, h in enumerate(indices)}
+        exponents = np.array([sum(hi * gi for hi, gi in zip(h, generators)) for h in indices])
+        I, J = np.nonzero(exponents[:, None] + exponents[None, :] <= order + _EXP_TOL)
+        sums = (tuple(map(operator.add, indices[i], indices[j])) for i, j in zip(I, J))
+        K = np.fromiter((position[h] for h in sums), dtype=np.intp, count=len(I))
+        perm = np.argsort(K, kind="stable")
+        I, J, K = I[perm], J[perm], K[perm]
+        seg = np.searchsorted(K, np.arange(n + 1))
+        terms = [(I[seg[k] : seg[k + 1]], J[seg[k] : seg[k + 1]]) for k in range(n)]
+        return cls(len(generators), n, position, exponents, np.stack((I, J, K)), terms)
+
+    def prefix(self, order: float) -> _Basis:
+        """The basis of a lower order, as views of this one's leading entries."""
+        if order not in self.prefixes:
+            n = int(np.searchsorted(self.exponents, order + _EXP_TOL, side="right"))
+            pairs = self.pairs[:, : np.searchsorted(self.pairs[2], n)]
+            exps, terms = self.exponents[:n], self.terms[:n]
+            self.prefixes[order] = _Basis(self.dim, n, self.position, exps, pairs, terms)
+        return self.prefixes[order]
+
+    def index_position(self, h) -> int | None:
+        pos = self.position.get(tuple(h))
+        return pos if pos is not None and pos < self.size else None
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.dim == 1:
+            return np.convolve(a, b)[: self.size]
+        I, J, K = self.pairs
+        return np.bincount(K, weights=a[I] * b[J], minlength=self.size)
+
+    def reciprocal(self, a: np.ndarray) -> np.ndarray:
+        """Solve (a r)_k = 0, k > 0; r_k is still 0 while the terms of position k are summed."""
+        r = np.zeros(self.size)
+        neg_inv = -1.0 / a[0]
+        r[0] = -neg_inv
+        for k, (i, j) in enumerate(self.terms[1:], 1):
+            r[k] = neg_inv * a[i].dot(r[j])
+        return r
+
+    def sqrt(self, a: np.ndarray) -> np.ndarray:
+        """Solve (s s)_k = a_k; s_k is still 0 while the terms of position k are summed."""
+        s = np.zeros(self.size)
+        s[0] = np.sqrt(a[0])
+        half = 0.5 / s[0]
+        for k, (i, j) in enumerate(self.terms[1:], 1):
+            s[k] = half * (a[k] - s[i].dot(s[j]))
+        return s
+
+    def shift(self, h: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(source, target, dropped) positions of the division by t^(h . g)."""
+        if h not in self.shifts:
+            source, target, dropped = [], [], []
+            for h0, pos in self.position.items():
+                if pos >= self.size:
+                    continue
+                hn = tuple(a - b for a, b in zip(h0, h))
+                if min(hn) < 0:
+                    dropped.append(pos)
+                else:
+                    source.append(pos)
+                    target.append(self.position[hn])
+            self.shifts[h] = tuple(np.array(x, dtype=np.int64) for x in (source, target, dropped))
+        return self.shifts[h]
+
+
+_TOP: dict[tuple[float, ...], tuple[float, _Basis]] = {}  # generators -> (top order, its basis)
+
+
+def _basis(generators: tuple[float, ...], order: float) -> _Basis:
+    top_order, top = _TOP.get(generators, (-1.0, None))
+    if order > top_order:
+        top_order, top = _TOP[generators] = (order, _Basis.build(generators, order))
+    return top if order == top_order else top.prefix(order)
 
 
 class Series:
-    __slots__ = ("lattice", "order", "coeffs")
+    """A truncated series: `vector[i]` is the coefficient of `lattice.indices_upto(order)[i]`."""
 
-    def __init__(self, lattice: ExponentLattice, order: float, coeffs: dict | None = None):
+    __slots__ = ("lattice", "order", "vector", "_basis")
+
+    def __init__(self, lattice: ExponentLattice, order: float, vector: np.ndarray | None = None):
         self.lattice = lattice
         self.order = order
-        self.coeffs: dict[tuple[int, ...], float] = coeffs or {}
+        self._basis = _basis(lattice.generators, order)
+        if vector is None:
+            vector = np.zeros(self._basis.size)
+        else:
+            vector = np.asarray(vector, dtype=float)
+            if vector.shape != (self._basis.size,):
+                raise ValueError(f"{vector.shape} coefficients for {self._basis.size} lattice indices")
+        self.vector = vector
 
     # -- constructors --
 
     @classmethod
     def constant(cls, lattice: ExponentLattice, order: float, value: float) -> Series:
-        zero = (0,) * lattice.dim
-        return cls(lattice, order, {zero: float(value)} if value != 0 else {})
+        s = cls(lattice, order)
+        s.vector[0] = value
+        return s
 
     @classmethod
     def monomial(cls, lattice: ExponentLattice, order: float, h: tuple[int, ...], value: float = 1.0) -> Series:
-        if lattice.exponent(h) > order + _EXP_TOL:
-            return cls(lattice, order, {})
-        return cls(lattice, order, {tuple(h): float(value)})
+        s = cls(lattice, order)
+        pos = s._basis.index_position(h)
+        if pos is not None:
+            s.vector[pos] = value
+        return s
 
     # -- basic queries --
 
     def coeff(self, h: tuple[int, ...]) -> float:
-        return self.coeffs.get(tuple(h), 0.0)
+        pos = self._basis.index_position(h)
+        return float(self.vector[pos]) if pos is not None else 0.0
 
     @property
     def const(self) -> float:
-        return self.coeffs.get((0,) * self.lattice.dim, 0.0)
+        return float(self.vector[0])
 
     def magnitude(self) -> float:
-        return sum(abs(c) for c in self.coeffs.values())
+        return float(np.abs(self.vector).sum())
 
-    def _like(self, coeffs: dict) -> Series:
-        return Series(self.lattice, self.order, coeffs)
+    def _like(self, vector: np.ndarray) -> Series:
+        out = object.__new__(Series)
+        out.lattice, out.order, out._basis, out.vector = self.lattice, self.order, self._basis, vector
+        return out
 
     def _check(self, other: Series):
         if other.lattice.generators != self.lattice.generators:
             raise ValueError("series live on different lattices")
+        if other.order != self.order:
+            raise ValueError(f"series truncated at different orders: {self.order} vs {other.order}")
 
     # -- ring operations --
 
     def __add__(self, other):
         if not isinstance(other, Series):
-            out = dict(self.coeffs)
-            zero = (0,) * self.lattice.dim
-            out[zero] = out.get(zero, 0.0) + float(other)
-            if out[zero] == 0.0:
-                del out[zero]
-            return self._like(out)
+            v = self.vector.copy()
+            v[0] += float(other)
+            return self._like(v)
         self._check(other)
-        out = dict(self.coeffs)
-        for h, c in other.coeffs.items():
-            v = out.get(h, 0.0) + c
-            if v == 0.0:
-                out.pop(h, None)
-            else:
-                out[h] = v
-        return self._like(out)
+        return self._like(self.vector + other.vector)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({h: -c for h, c in self.coeffs.items()})
+        return self._like(-self.vector)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Series) else -float(other))
@@ -133,22 +236,9 @@ class Series:
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            f = float(other)
-            if f == 0.0:
-                return self._like({})
-            return self._like({h: c * f for h, c in self.coeffs.items()})
+            return self._like(self.vector * float(other))
         self._check(other)
-        lat, order = self.lattice, self.order
-        gens = lat.generators
-        out: dict[tuple[int, ...], float] = {}
-        for h1, c1 in self.coeffs.items():
-            e1 = lat.exponent(h1)
-            for h2, c2 in other.coeffs.items():
-                if e1 + lat.exponent(h2) > order + _EXP_TOL:
-                    continue
-                h = tuple(a + b for a, b in zip(h1, h2))
-                out[h] = out.get(h, 0.0) + c1 * c2
-        return self._like({h: c for h, c in out.items() if c != 0.0})
+        return self._like(self._basis.product(self.vector, other.vector))
 
     __rmul__ = __mul__
 
@@ -172,43 +262,20 @@ class Series:
     def __rtruediv__(self, other):
         return self.reciprocal() * float(other)
 
-    # -- Newton-iterated inverses --
-
-    def _newton_steps(self) -> int:
-        span = max(self.order / self.lattice.min_generator(), 1.0)
-        return max(3, int(math.ceil(math.log2(span))) + 2)
+    # -- inverses --
 
     def reciprocal(self) -> Series:
-        a0 = self.const
-        if a0 == 0:
+        if self.vector[0] == 0:
             raise NonAnalyticError("series reciprocal at a zero constant term")
-        r = Series.constant(self.lattice, self.order, 1.0 / a0)
-        for _ in range(self._newton_steps()):
-            r = r * (2.0 - self * r)
-        return r
+        return self._like(self._basis.reciprocal(self.vector))
 
     def sqrt(self) -> Series:
         a0 = self.const
         if a0 <= 0:
             raise NonAnalyticError(f"series sqrt needs a positive constant term, got {a0}")
-        z = Series.constant(self.lattice, self.order, 1.0 / math.sqrt(a0))
-        for _ in range(self._newton_steps()):
-            z = z * (3.0 - self * z * z) * 0.5
-        return self * z  # A * A^(-1/2)
+        return self._like(self._basis.sqrt(self.vector))
 
     # -- lattice moves --
-
-    def shift_up(self, h: tuple[int, ...]) -> Series:
-        """Multiply by t^(h . g)."""
-        lat = self.lattice
-        if len(h) != lat.dim:
-            raise ValueError(f"shift index {h} has wrong dimension for lattice {lat.generators}")
-        out = {}
-        for h0, c in self.coeffs.items():
-            hn = tuple(a + b for a, b in zip(h0, h))
-            if lat.exponent(hn) <= self.order + _EXP_TOL:
-                out[hn] = c
-        return self._like(out)
 
     def shift_down(self, h: tuple[int, ...], tol: float) -> Series:
         """Divide by t^(h . g); coefficients that would go negative must be
@@ -216,40 +283,21 @@ class Series:
         analytic after the shift."""
         if len(h) != self.lattice.dim:
             raise ValueError(f"shift index {h} has wrong dimension for lattice {self.lattice.generators}")
-        out = {}
-        bad = 0.0
-        for h0, c in self.coeffs.items():
-            hn = tuple(a - b for a, b in zip(h0, h))
-            if any(x < 0 for x in hn):
-                bad = max(bad, abs(c))
-            else:
-                out[hn] = c
+        source, target, dropped = self._basis.shift(tuple(h))
+        bad = float(np.max(np.abs(self.vector[dropped]))) if dropped.size else 0.0
         if bad > tol:
             raise NonAnalyticError(
                 f"shift_down by {h}: residual coefficient {bad} exceeds tolerance {tol}"
             )
+        out = np.zeros_like(self.vector)
+        out[target] = self.vector[source]
         return self._like(out)
-
-    def drop_small(self, tol: float) -> Series:
-        return self._like({h: c for h, c in self.coeffs.items() if abs(c) > tol})
 
     # -- calculus / evaluation --
 
     def tderivative(self) -> Series:
         """t * d/dt: multiplies each coefficient by its exponent."""
-        lat = self.lattice
-        return self._like({h: c * lat.exponent(h) for h, c in self.coeffs.items() if lat.exponent(h) != 0})
+        return self._like(self.vector * self._basis.exponents)
 
     def evaluate(self, t: float) -> float:
-        lat = self.lattice
-        return sum(c * t ** lat.exponent(h) for h, c in self.coeffs.items())
-
-    def evaluate_derivative(self, t: float) -> float:
-        lat = self.lattice
-        return sum(c * lat.exponent(h) * t ** (lat.exponent(h) - 1.0) for h, c in self.coeffs.items())
-
-    def __repr__(self):
-        terms = sorted(self.coeffs.items(), key=lambda kv: self.lattice.exponent(kv[0]))
-        body = " + ".join(f"{c:.6g}*t^{self.lattice.exponent(h):.4g}" for h, c in terms[:8])
-        suffix = " + ..." if len(terms) > 8 else ""
-        return f"<Series {body or '0'}{suffix}>"
+        return float(np.dot(self.vector, t ** self._basis.exponents))

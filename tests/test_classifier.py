@@ -189,14 +189,24 @@ class TestPersistence:
                 assert "death_quadrant" in chamber_membership(s, params, cushion=0.0)
 
     def test_mu_increases_on_backward_region(self):
-        """mu = db/da is strictly increasing in forward time on the backward-AC region."""
+        """mu = db/da is strictly increasing in forward time on the backward-AC region.
+
+        mu tends to its limit 1; once 1 - mu is at rounding level its
+        increments are noise, so strict growth is asserted on the leading
+        samples with 1 - mu > 1e-12 and the tail only has to sit at 1.
+        """
         params = ModelParams.kmn(1, 2, 1.0)
         _, st = seed_ac_end(params, 1.0, 10.0)
         # integrate forward: mu must increase toward 1
         traj = integrate(st, 10.0, params, [], Budget(span=30.0), rtol=1e-11)
         x1, x2 = traj.zs[:, 0], traj.zs[:, 1]
         mu = x1 / x2  # (da db)/da^2
-        assert np.all(np.diff(mu) > 0)
+        away = 1.0 - mu > 1e-12
+        n_away = int(np.count_nonzero(away))
+        assert n_away >= 8
+        assert np.all(away[:n_away])  # no sample falls back below the limit band
+        assert np.all(np.diff(mu[:n_away]) > 0)
+        assert abs(1.0 - mu[-1]) < 1e-10
 
     def test_alc_trajectory_positive_mean_curvature(self):
         v = classify_trajectory(SeedSpec(family="cs_end", c=1.0, switch_parameter=0.1))

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2flow.errors import NonAnalyticError, ResonanceError
-from g2flow.seeds import NU0, SeriesSolution, solve_singular_ivp
+from g2flow.seeds import NU0, NUINF, SeriesSolution, solve_singular_ivp
 from g2flow.series import ExponentLattice, Series
 
 
@@ -67,6 +69,91 @@ class TestArithmetic:
         td = s.tderivative()
         assert td.coeff((2,)) == 10.0
         assert td.coeff((3,)) == -3.0
+
+
+def naive_product(x, y) -> dict:
+    """Term-by-term product of two series on the same lattice, as {index: coefficient}."""
+    lat, order = x.lattice, x.order
+    indices = lat.indices_upto(order)
+    out: dict = {}
+    for h1 in indices:
+        for h2 in indices:
+            if lat.exponent(h1) + lat.exponent(h2) <= order + 1e-9:
+                h = tuple(a + b for a, b in zip(h1, h2))
+                out[h] = out.get(h, 0.0) + x.coeff(h1) * y.coeff(h2)
+    return out
+
+
+def assert_close_to(got, want: dict, scale: dict, rel: float = 1e-12):
+    """got.coeff(h) == want[h] to rel times scale[h], the sum of |terms| at h."""
+    for h in got.lattice.indices_upto(got.order):
+        err = abs(got.coeff(h) - want.get(h, 0.0))
+        assert err <= rel * scale.get(h, 0.0) + 1e-300, (h, got.coeff(h), want.get(h, 0.0))
+
+
+def absolute(x):
+    return Series(x.lattice, x.order, np.abs(x.vector))
+
+
+ONE_D = st.tuples(st.floats(0.3, 3.0), st.floats(0.0, 12.0))
+TWO_D = st.one_of(
+    st.tuples(st.just((3.0, NUINF)), st.floats(0.0, 40.0)),
+    st.tuples(st.tuples(st.floats(0.7, 3.0), st.floats(0.7, 3.0)), st.floats(0.0, 6.0)),
+)
+COEFFS = st.lists(st.floats(-1.0, 1.0), min_size=64, max_size=64)
+
+
+def series_from(gens, order, head, coeffs, tail_scale=1.0) -> Series:
+    lat = ExponentLattice(gens if isinstance(gens, tuple) else (gens,))
+    n = len(lat.indices_upto(order))
+    assert n <= len(coeffs)
+    vec = tail_scale * np.array(coeffs[:n])
+    vec[0] = head
+    return Series(lat, order, vec)
+
+
+class TestProperties:
+    """Random series against an independent term-by-term oracle."""
+
+    @given(lattice=st.one_of(ONE_D, TWO_D), a=COEFFS, b=COEFFS, a0=st.floats(-2.0, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_product_matches_naive(self, lattice, a, b, a0):
+        x = series_from(*lattice, a0, a)
+        y = series_from(*lattice, b[0], b)
+        assert_close_to(x * y, naive_product(x, y), naive_product(absolute(x), absolute(y)))
+
+    @given(lattice=st.one_of(ONE_D, TWO_D), a=COEFFS, a0=st.floats(0.5, 2.0) | st.floats(-2.0, -0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_reciprocal_inverts(self, lattice, a, a0):
+        x = series_from(*lattice, a0, a, tail_scale=0.3)
+        r = x.reciprocal()
+        one = {(0,) * x.lattice.dim: 1.0}
+        assert_close_to(x * r, one, naive_product(absolute(x), absolute(r)))
+
+    @given(lattice=st.one_of(ONE_D, TWO_D), a=COEFFS, a0=st.floats(0.5, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_sqrt_squares_back(self, lattice, a, a0):
+        x = series_from(*lattice, a0, a, tail_scale=0.3)
+        root = x.sqrt()
+        want = {h: x.coeff(h) for h in x.lattice.indices_upto(x.order)}
+        assert_close_to(root * root, want, naive_product(absolute(root), absolute(root)))
+
+    @given(lattice=st.one_of(ONE_D, TWO_D), extra=st.floats(0.5, 4.0))
+    @settings(max_examples=20, deadline=None)
+    def test_operands_of_different_order_raise(self, lattice, extra):
+        gens, order = lattice
+        lat = ExponentLattice(gens if isinstance(gens, tuple) else (gens,))
+        x = Series.constant(lat, order, 1.0)
+        y = Series.constant(lat, order + extra, 1.0)
+        for op in (lambda: x * y, lambda: x + y, lambda: y - x, lambda: x / y):
+            with pytest.raises(ValueError, match="different orders"):
+                op()
+
+    def test_operands_on_different_lattices_raise(self):
+        x = Series.constant(ExponentLattice((1.0,)), 6.0, 1.0)
+        y = Series.constant(ExponentLattice((2.0,)), 6.0, 1.0)
+        with pytest.raises(ValueError, match="different lattices"):
+            x * y
 
 
 class TestEngine:
