@@ -8,9 +8,12 @@ Three equivalent formulations are supported:
 * ``u1_a``   -- the second-order equation for b(s) with s = a, as the
                 first-order pair (b, mu = db/da).
 
-Integration is an explicit embedded Runge-Kutta pair of order 8(5,3) with
-dense output; stop events are located by root bracketing on the dense
-output.  The second-order form is exposed only as a residual oracle.
+Integration is scipy's explicit embedded Runge-Kutta pair DOP853, of order
+8(5,3).  Each accepted step keeps a lazy record of its stages; the step's
+dense interpolant, which costs three more right-hand-side evaluations, is
+built only when something reads it: the step that locates a stop event by
+root bracketing, or a later ``Trajectory.interpolate``.  The second-order
+form is exposed only as a residual oracle.
 """
 from __future__ import annotations
 
@@ -85,9 +88,16 @@ def _vf_full(params: ModelParams) -> Callable:
     return fun
 
 
+# The U(1) fields unpack the state into Python floats, whose arithmetic is
+# much cheaper than numpy scalars'.  Python floats raise on overflow in ``**``
+# and on division by zero where numpy returns inf or nan, and rejected trial
+# stages do overflow; so eval_F squares by multiplication and every divisor
+# here is floored away from zero.
+
+
 def _vf_u1_arc(params: ModelParams) -> Callable:
     def fun(_t, z):
-        x1, x2, a, b = z
+        x1, x2, a, b = z.tolist()
         f, fa, fb = eval_F(a, b, params)
         rootf = math.sqrt(max(f, _FLOOR))
         rootx = math.sqrt(max(x2, _FLOOR))
@@ -98,8 +108,8 @@ def _vf_u1_arc(params: ModelParams) -> Callable:
 
 def _vf_u1_a(params: ModelParams) -> Callable:
     def fun(s, z):
-        b, mu = z
-        f, fa, fb = eval_F(s, b, params)
+        b, mu = z.tolist()
+        f, fa, fb = eval_F(float(s), b, params)
         f = f if f > 0 else _FLOOR
         return np.array([mu, mu * (fa - 2 * mu * fb) / (2 * f)])
 
@@ -271,6 +281,39 @@ def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0, t0) -> tu
 # -- trajectories --------------------------------------------------------------
 
 
+class _Step:
+    """One accepted DOP853 step; its dense interpolant is built on the first call.
+
+    The record keeps what scipy's ``DOP853._dense_output_impl`` reads and runs
+    that code on itself, so the interpolant equals ``solver.dense_output()``
+    bit for bit.  Its three extra stages are evaluated with the raw vector
+    field, not the solver's counting wrapper, so ``solver.nfev`` counts step
+    attempts only.
+    """
+
+    __slots__ = ("fun", "t_old", "t", "h_previous", "t_min", "t_max", "y_old", "y", "f", "n", "K_extended", "_sol")
+    n_stages = DOP853.n_stages
+    A_EXTRA = DOP853.A_EXTRA
+    C_EXTRA = DOP853.C_EXTRA
+    D = DOP853.D
+    _dense_output_impl = DOP853._dense_output_impl
+
+    def __init__(self, solver, fun: Callable):
+        self.fun = fun
+        self.t_old, self.t, self.h_previous = solver.t_old, solver.t, solver.h_previous
+        self.t_min, self.t_max = min(self.t_old, self.t), max(self.t_old, self.t)
+        self.y_old, self.y, self.f, self.n = solver.y_old, solver.y, solver.f, solver.n
+        # rows past the step's stages are overwritten when the interpolant is built
+        self.K_extended = solver.K_extended.copy()
+        self._sol = None
+
+    def __call__(self, t):
+        if self._sol is None:
+            self._sol = self._dense_output_impl()
+            self.K_extended = None
+        return self._sol(t)
+
+
 @dataclass
 class Budget:
     span: float
@@ -284,7 +327,9 @@ class Trajectory:
     ts: np.ndarray
     zs: np.ndarray
     events: list = field(default_factory=list)  # (kind, param value, state vector)
-    segments: list = field(default_factory=list)  # per-step dense interpolants
+    # one callable per accepted step, covering [ts[i], ts[i+1]] (the last one
+    # may reach past an event); integrate stores lazy _Step records
+    segments: list = field(default_factory=list)
     anchor: dict = field(default_factory=dict)
 
     @property
@@ -304,11 +349,21 @@ class Trajectory:
         lo, hi = (self.ts[0], self.ts[-1]) if self.ts[0] <= self.ts[-1] else (self.ts[-1], self.ts[0])
         if not (lo - 1e-12 * (1 + abs(lo)) <= t <= hi + 1e-12 * (1 + abs(hi))):
             raise ValueError(f"parameter {t} outside trajectory range [{lo}, {hi}]")
-        for seg in self.segments:
-            a, b = (seg.t_min, seg.t_max)
-            if a <= t <= b:
-                return seg(t)
-        return self.zs[-1] if abs(t - self.ts[-1]) <= abs(t - self.ts[0]) else self.zs[0]
+        t = min(max(t, lo), hi)
+        if not self.segments:
+            # a resampled trajectory keeps no interpolants: only its samples can be read
+            hit = np.flatnonzero(self.ts == t)
+            if hit.size == 0:
+                raise ValueError(f"parameter {t} is not a sample of a trajectory without interpolants")
+            return self.zs[hit[0]]
+        if self.ts[0] <= self.ts[-1]:
+            i = np.searchsorted(self.ts, t, side="right") - 1
+        else:
+            i = np.searchsorted(-self.ts, -t, side="right") - 1
+        seg = self.segments[min(max(int(i), 0), len(self.segments) - 1)]
+        if not seg.t_min <= t <= seg.t_max:
+            raise ValueError(f"no step interpolant covers parameter {t}")
+        return seg(t)
 
     def ab_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         out = np.array([_ab_view(self.system, t, z) for t, z in zip(self.ts, self.zs)])
@@ -393,7 +448,7 @@ def integrate(
                     last_state=zs[-1],
                 )
             steps += 1
-            sol = solver.dense_output()
+            sol = _Step(solver, fun)
             segments.append(sol)
             t_new, z_new = solver.t, solver.y.copy()
 

@@ -143,9 +143,12 @@ def lambda_magnitude(y, params: ModelParams) -> float:
 def eval_F(a: float, b: float, params: ModelParams) -> tuple[float, float, float]:
     """F(a,b) = -Lambda(a,a,b) together with its exact partial derivatives."""
     p, q = params.p, params.q
-    f = 4 * a * a * (b - p) * (b + q) - (b * b + p * q) ** 2
+    c = b * b + p * q
+    # c * c, not c ** 2: Python floats raise OverflowError in ** where a
+    # product gives inf
+    f = 4 * a * a * (b - p) * (b + q) - c * c
     fa = 8 * a * (b - p) * (b + q)
-    fb = 4 * a * a * (2 * b + q - p) - 4 * b * (b * b + p * q)
+    fb = 4 * a * a * (2 * b + q - p) - 4 * b * c
     return float(f), float(fa), float(fb)
 
 

@@ -3,16 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from g2flow.errors import SeedError
 from g2flow.flow import (
+    _VECTOR_FIELDS,
     Budget,
     StopEvent,
+    _vf_full,
+    _vf_u1_a,
+    _vf_u1_arc,
     brandhuber_residual,
     integrate,
     reparametrize,
     rhs_full,
     rhs_u1,
+    state_to_vec,
 )
 from g2flow.invariants import FullState, Param, U1State, eval_F, hamiltonian, u1_from_full
 from g2flow.params import ModelParams
@@ -96,6 +102,23 @@ class TestRhs:
         assert dx[2] == pytest.approx(vec_u1[1], rel=1e-13)
         assert dy[0] == pytest.approx(vec_u1[2], rel=1e-13)
         assert dy[2] == pytest.approx(vec_u1[3], rel=1e-13)
+
+
+    def test_overflow_gives_non_finite_values_not_exceptions(self):
+        """Huge trial states overflow to inf or nan, as on numpy, instead of raising.
+
+        b = 9.6e136 is where a rejected trial stage of acceptance criterion 7
+        lands; there (b^2 + pq)^2 overflows, which ``**`` on Python floats
+        turns into OverflowError.
+        """
+        params = ModelParams.delta_su2(1.0)
+        for b in (9.6e136, 1e200):
+            assert not all(math.isfinite(v) for v in eval_F(1.96, b, params))
+            assert not np.all(np.isfinite(_vf_u1_arc(params)(0.0, np.array([1.0, 1.0, 1.96, b]))))
+            assert not np.all(np.isfinite(_vf_u1_a(params)(1.96, np.array([b, 1.0]))))
+            with np.errstate(over="ignore", invalid="ignore"):
+                dz = _vf_full(params)(0.0, np.array([1.0, 1.0, 1.0, 1.96, 1.96, b]))
+            assert not np.all(np.isfinite(dz))
 
 
 class TestBrandhuber:
@@ -223,6 +246,72 @@ class TestIntegrate:
             z1 = tr1.interpolate(t / lam)
             assert z2[2] == pytest.approx(lam**3 * z1[2], rel=1e-8)
             assert z2[3] == pytest.approx(lam**3 * z1[3], rel=1e-8)
+
+
+def _b7_arc_run():
+    _, st = seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.1)
+    return u1_from_full(st), 0.1, ModelParams.delta_su2(1.0), 3.0
+
+
+def _kmn_a_run():
+    _, st = seed_kmn(1, 2, 1.0, 4.0, t_switch=0.05)
+    u = u1_from_full(st)
+    return U1State(a=u.a, b=u.b, da=1.0, db=u.db / u.da, param=Param.A_EQUALS_S), u.a, ModelParams.kmn(1, 2, 1.0), 2.0
+
+
+def _b7_full_run():
+    _, st = seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.1)
+    return st, 0.1, ModelParams.delta_su2(1.0), 3.0
+
+
+class TestDenseOutput:
+    @pytest.mark.parametrize("run", [_b7_arc_run, _kmn_a_run, _b7_full_run], ids=["b7_u1_arc", "kmn_u1_a", "b7_full"])
+    def test_matches_solve_ivp_bit_for_bit(self, run):
+        """Steps and step interpolants equal scipy's own DOP853 driver exactly."""
+        seed, t0, params, span = run()
+        rtol, atol_scale = 1e-11, 1e-13
+        traj = integrate(seed, t0, params, [], Budget(span=span), rtol=rtol, atol_scale=atol_scale)
+        system, z0 = state_to_vec(seed)
+        assert traj.system == system
+        res = solve_ivp(
+            _VECTOR_FIELDS[system](params), (t0, t0 + span), z0, method="DOP853", dense_output=True,
+            rtol=rtol, atol=atol_scale * max(1.0, float(np.max(np.abs(z0)))),
+        )
+        assert res.success and len(res.t) > 10
+        assert np.array_equal(traj.ts, res.t)
+        assert np.array_equal(traj.zs, res.y.T)
+        for t in np.concatenate([(traj.ts[:-1] + traj.ts[1:]) / 2, traj.ts[:-1] + 0.1 * np.diff(traj.ts)]):
+            assert np.array_equal(traj.interpolate(t), res.sol(t))
+
+    @pytest.mark.parametrize("direction", [+1, -1])
+    def test_interpolate_returns_stored_nodes(self, direction):
+        traj = integrate(cone_state(1.0), 1.0, ModelParams.cone(), [], Budget(span=0.5), direction=direction)
+        assert len(traj.segments) == len(traj) - 1 > 3
+        for t, z in zip(traj.ts[:-1], traj.zs[:-1]):
+            assert np.array_equal(traj.interpolate(t), z)
+        assert np.allclose(traj.interpolate(traj.ts[-1]), traj.zs[-1], rtol=1e-14)
+        with pytest.raises(ValueError):
+            traj.interpolate(traj.ts[-1] + direction * 1e-3)
+
+    def test_event_state_is_read_off_the_step_interpolant(self):
+        params = ModelParams.kmn(1, 2, 1.0)
+        _, st = seed_kmn(1, 2, 1.0, 4.0, t_switch=0.05)
+        traj = integrate(u1_from_full(st), 0.05, params, [StopEvent.make("reaches_a_equals_b")], Budget(span=100.0))
+        kind, tp, zv = traj.terminal_event
+        assert kind == "reaches_a_equals_b" and tp == traj.ts[-1]
+        assert traj.segments[-1].t_min < tp < traj.segments[-1].t_max
+        assert np.array_equal(traj.interpolate(tp), zv)
+
+    def test_resampled_trajectory_refuses_to_interpolate(self):
+        """A reparametrized trajectory keeps no interpolants: its samples read back, nothing else."""
+        traj = integrate(cone_state(1.0), 1.0, ModelParams.cone(), [], Budget(span=9.0), rtol=1e-12)
+        s_traj = reparametrize(traj, Param.A_EQUALS_S)
+        assert s_traj.segments == []
+        for i in (0, 1, len(s_traj) - 1):
+            assert np.array_equal(s_traj.interpolate(s_traj.ts[i]), s_traj.zs[i])
+        for s in (0.5 * (s_traj.ts[0] + s_traj.ts[1]), 0.5 * (s_traj.ts[-2] + s_traj.ts[-1])):
+            with pytest.raises(ValueError):
+                s_traj.interpolate(s)
 
 
 class TestReparametrize:
