@@ -14,8 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, G2FlowError, SeedError, StiffnessError
-from .flow import CHAMBER_CUSHION, Budget, StopEvent, Trajectory, integrate, state_to_vec, vec_to_state
-from .invariants import FullState, U1State, eval_F, u1_from_full
+from .flow import (
+    CHAMBER_CUSHION, DEGENERATION_STOPS, Budget, StopEvent, Trajectory, integrate, state_to_vec, vec_to_state,
+)
+from .invariants import (
+    FullState, U1State, alc_margin, alc_strict_margin, death_margin, eval_F, in_ac_backward, u1_from_full,
+)
 from .params import ModelParams
 from .seeds import NUINF, SeedSpec
 
@@ -111,18 +115,14 @@ def chamber_membership(
     a, b, da, db = state.a, state.b, state.da, state.db
     bfl = params.b_floor
     out: set[str] = set()
-
-    def strict(x, y):
-        return x - y > cushion * (abs(x) + abs(y))
-
-    alc = strict(da, db) and strict(a, b) and strict(b, bfl)
-    if alc:
+    # a > b in the ALC chamber and b > a in the death quadrant: at most one holds
+    if alc_margin(a, b, da, db, bfl, cushion, strict=False) > 0:
         out.add("alc_chamber")
-        if alc_strict_supported(params) and strict(da * b, a * db):
+        if alc_strict_supported(params) and alc_strict_margin(a, b, da, db, cushion) > 0:
             out.add("alc_strict")
-    if strict(a * db, da * b) and strict(b, a) and strict(b, bfl) and a > 0:
+    elif a > 0 and death_margin(a, b, da, db, bfl, cushion) > 0:
         out.add("death_quadrant")
-    if b > a > 0 and da > db > 0 and b > max(params.p, -params.q):
+    if in_ac_backward(a, b, da, db, params.p, params.q):
         out.add("ac_backward")
     return out
 
@@ -182,8 +182,7 @@ def classify_trajectory(
             StopEvent.make("enters_alc_chamber", strict=True),
             StopEvent.make("enters_death_chamber"),
             StopEvent.make("reaches_a_equals_b"),
-            StopEvent.make("F_vanishes"),
-            StopEvent.make("blow_up"),
+            *DEGENERATION_STOPS,
         ]
         try:
             traj = integrate(
@@ -233,21 +232,9 @@ def classify_trajectory(
 
     # dwell: strict membership must persist over a span equal to the entry time
     dwell_end = 2.0 * t_cur
-    try:
-        leg = integrate(
-            state,
-            t_cur,
-            params,
-            [StopEvent.make("F_vanishes"), StopEvent.make("blow_up")],
-            Budget(span=dwell_end - t_cur, max_steps=budget.max_steps),
-            rtol=rtol,
-        )
-    except StiffnessError as exc:
-        return Verdict(kind="Indeterminate", reason=str(exc), diagnostics=diag)
-    diag["legs"] += 1
-    if leg.terminal_event[0] != "budget_exhausted":
-        k, tp, _ = leg.terminal_event
-        return Verdict(kind="Incomplete", reason=k, event=(k, tp), diagnostics=diag)
+    leg, stopped = _degeneration_leg(state, t_cur, dwell_end - t_cur, params, budget, rtol, diag)
+    if stopped is not None:
+        return stopped
     ok, bad_t = _strict_persists(leg, params)
     if not ok:
         return Verdict(
@@ -262,26 +249,13 @@ def classify_trajectory(
     # tail: double the horizon until both circle-length estimators agree
     prev_ell = None
     prev_slope = None
-    last_leg = leg
     for _ in range(budget.max_doublings):
         span = t_cur  # doubles the current horizon
         if t_cur + span > 50 * t_max:
             break
-        try:
-            last_leg = integrate(
-                state,
-                t_cur,
-                params,
-                [StopEvent.make("F_vanishes"), StopEvent.make("blow_up")],
-                Budget(span=span, max_steps=budget.max_steps),
-                rtol=rtol,
-            )
-        except StiffnessError as exc:
-            return Verdict(kind="Indeterminate", reason=str(exc), diagnostics=diag)
-        diag["legs"] += 1
-        if last_leg.terminal_event[0] != "budget_exhausted":
-            k, tp, _ = last_leg.terminal_event
-            return Verdict(kind="Incomplete", reason=k, event=(k, tp), diagnostics=diag)
+        last_leg, stopped = _degeneration_leg(state, t_cur, span, params, budget, rtol, diag)
+        if stopped is not None:
+            return stopped
         state = vec_to_state(last_leg.system, last_leg.ts[-1], last_leg.zs[-1])
         t_cur = last_leg.ts[-1]
         try:
@@ -333,7 +307,7 @@ def _verify_conical(state0, t0, params, budget, rtol, diag) -> Verdict:
         state0,
         t0,
         params,
-        [StopEvent.make("F_vanishes"), StopEvent.make("blow_up")],
+        DEGENERATION_STOPS,
         Budget(span=span, max_steps=budget.max_steps),
         rtol=rtol,
     )
@@ -346,14 +320,36 @@ def _verify_conical(state0, t0, params, budget, rtol, diag) -> Verdict:
     diag["ac_mode"] = "symmetric seed"
     diag["max_ratio_dev"] = rel
     diag["monitor_trace"] = monitor_trace(traj)
-    nominal_rate = -NUINF if (params.p == 0 and params.q == 0) else -3.0
     if rel <= AC_RATIO_TOL:
-        return Verdict(kind="AC", rate=nominal_rate, budget_used=float(traj.ts[-1]), diagnostics=diag)
+        return Verdict(
+            kind="AC", rate=_ac_nominal_rate(params), budget_used=float(traj.ts[-1]), diagnostics=diag
+        )
     return Verdict(
         kind="Indeterminate",
         reason=f"symmetric seed lost the conical ratio: |b/a - 1| reached {rel:.2e}",
         diagnostics=diag,
     )
+
+
+def _degeneration_leg(state, t_cur, span, params, budget, rtol, diag) -> tuple:
+    """One leg over `span` that stops only at a degeneration: (leg, None) when it
+    ran to the horizon, else (None, the Incomplete or Indeterminate verdict)."""
+    try:
+        leg = integrate(
+            state, t_cur, params, DEGENERATION_STOPS, Budget(span=span, max_steps=budget.max_steps), rtol=rtol
+        )
+    except StiffnessError as exc:
+        return None, Verdict(kind="Indeterminate", reason=str(exc), diagnostics=diag)
+    diag["legs"] += 1
+    kind, tp, _ = leg.terminal_event
+    if kind != "budget_exhausted":
+        return None, Verdict(kind="Incomplete", reason=kind, event=(kind, tp), diagnostics=diag)
+    return leg, None
+
+
+def _ac_nominal_rate(params: ModelParams) -> float:
+    """Nominal decay rate of an AC end towards its cone: t^-3 when (p, q) != 0, else t^-nu_inf."""
+    return -NUINF if (params.p == 0 and params.q == 0) else -3.0
 
 
 def _incomplete_death(state, t_cur, params, confirm_blowup, rtol, diag) -> Verdict:
@@ -374,7 +370,7 @@ def _incomplete_death(state, t_cur, params, confirm_blowup, rtol, diag) -> Verdi
                 state,
                 t_cur,
                 params,
-                [StopEvent.make("F_vanishes"), StopEvent.make("blow_up")],
+                DEGENERATION_STOPS,
                 Budget(span=1e6 * max(t_cur, 1.0)),
                 rtol=rtol,
             )
@@ -474,7 +470,7 @@ def _ac_or_indeterminate(traj: Trajectory, params: ModelParams, t_cur, diag) -> 
     if np.count_nonzero(tail) < 4:
         return Verdict(kind="Indeterminate", reason="budget exhausted", diagnostics=diag)
     rel = np.abs(b[tail] / a[tail] - 1.0)
-    nominal_rate = -NUINF if (params.p == 0 and params.q == 0) else -3.0
+    nominal_rate = _ac_nominal_rate(params)
     if np.max(rel) <= AC_EXACT_FLOOR:
         diag["ac_mode"] = "exactly conical"
         return Verdict(kind="AC", rate=nominal_rate, budget_used=t_cur, diagnostics=diag)
@@ -505,7 +501,7 @@ def _classify_full(state0: FullState, t0: float, params, budget, rtol) -> Verdic
             state0,
             t0,
             params,
-            [StopEvent.make("F_vanishes"), StopEvent.make("blow_up")],
+            DEGENERATION_STOPS,
             Budget(span=t_max - t0, max_steps=budget.max_steps),
             rtol=rtol,
         )

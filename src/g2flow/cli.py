@@ -14,11 +14,11 @@ import numpy as np
 from .classify import ClassifyBudget, chamber_membership, classify_trajectory
 from .config import RunConfig, load_config
 from .errors import BracketError, ConfigError, G2FlowError
-from .flow import Budget, StopEvent, Trajectory, integrate, vec_to_state
+from .flow import DEGENERATION_STOPS, Budget, StopEvent, Trajectory, integrate, vec_to_state
 from .invariants import FullState, eval_F, eval_lambda, hamiltonian, mean_curvature, u1_from_full
 from .params import ModelParams
 from .seeds import SeedSpec
-from .shooter import _forward_side, _to_aparam, extend_ac_backward, find_beta_ac, find_c_ac, GammaCurve
+from .shooter import GammaCurve, extend_ac_backward, find_beta_ac, find_c_ac, forward_seed, forward_side
 
 CSV_HEADER = (
     "param,t,s,a,b,da,db,F,H,mean_curvature,alc_chamber,alc_strict,death_quadrant,ac_backward"
@@ -158,14 +158,13 @@ def cmd_solve(cfg: RunConfig) -> dict:
         StopEvent.make("enters_death_chamber"),
         StopEvent.make("reaches_a_equals_b"),
     ]
-    terminal = [StopEvent.make("F_vanishes"), StopEvent.make("blow_up")]
     legs = []
     events = []
     cur_state, cur_t = state, t0
     active = list(recording)
     for _ in range(len(recording) + 1):
         traj = integrate(
-            cur_state, cur_t, params, active + terminal,
+            cur_state, cur_t, params, [*active, *DEGENERATION_STOPS],
             Budget(span=t1 - cur_t, max_steps=cfg.max_steps), rtol=cfg.rtol,
         )
         legs.append(traj)
@@ -274,21 +273,16 @@ def cmd_figure1(cfg: RunConfig) -> dict:
     ladder = [0.35, 0.6, 0.85, 1.0, 1.6, 3.0]
     os.makedirs(cfg.out_dir, exist_ok=True)
     curves = []
-    t_switch = 0.05 * r0
-    from .seeds import seed_kmn
-
     for i, frac in enumerate(ladder):
         beta = frac * beta_ac
         if frac == 1.0:
             tag = "AC"
         else:
-            side = _forward_side(m, n, r0, beta, t_switch, cfg.rtol, 50.0 * r0**3 * m * n)
+            side = forward_side(m, n, r0, beta, rtol=cfg.rtol)
             tag = {"alc": "ALC", "incomplete": "Incomplete"}.get(side, "Indeterminate")
-        _, st = seed_kmn(m, n, r0, beta, t_switch=t_switch)
-        seed = _to_aparam(u1_from_full(st))
-        stops = [StopEvent.make("F_vanishes"), StopEvent.make("blow_up")]
+        seed = forward_seed(m, n, r0, beta)
         span = 12.0 * r0**3 * m * n
-        traj = integrate(seed, seed.a, params, stops, Budget(span=span), rtol=cfg.rtol)
+        traj = integrate(seed, seed.a, params, DEGENERATION_STOPS, Budget(span=span), rtol=cfg.rtol)
         fname = f"curve_{i:02d}_{tag.lower()}.csv"
         write_trajectory_csv(os.path.join(cfg.out_dir, fname), traj)
         curves.append({"file": fname, "beta": beta, "verdict": tag})

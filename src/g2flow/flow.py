@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -31,8 +31,11 @@ from .invariants import (
     Param,
     U1State,
     _grad_terms,
+    alc_margin,
+    death_margin,
     eval_F,
     eval_lambda,
+    gamma2_margin,
     hamiltonian,
 )
 from .params import ModelParams
@@ -166,28 +169,29 @@ class StopEvent:
     kind: one of F_vanishes | enters_alc_chamber | enters_death_chamber |
           hits_gamma1 | hits_gamma2 | hits_corner | blow_up |
           budget_exhausted | reaches_a_equals_b
-    data: kind-specific thresholds (eps, cushion, strict, gamma, ...).
+    data: kind-specific settings (strict, level, k, eps, ...).
     """
 
     kind: str
     data: tuple = ()
-
-    def datadict(self) -> dict:
-        return dict(self.data)
 
     @classmethod
     def make(cls, kind: str, **data) -> StopEvent:
         return cls(kind=kind, data=tuple(sorted(data.items())))
 
 
-def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0, t0) -> tuple[Callable, int]:
+# the genuine degenerations that end a run: the form leaves the stable locus,
+# or the state blows up
+DEGENERATION_STOPS = (StopEvent.make("F_vanishes"), StopEvent.make("blow_up"))
+
+
+def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0) -> tuple[Callable, int]:
     """Return (g(t, z), direction): event fires when g crosses 0 in direction."""
-    d = event.datadict()
+    d = dict(event.data)
     bfloor = params.b_floor
-    cush = d.get("cushion", CHAMBER_CUSHION)
 
     if event.kind == "F_vanishes":
-        eps = d.get("eps", F_VANISH_EPS)
+        eps = F_VANISH_EPS
         if system == "full":
 
             def g(_t, z):
@@ -206,14 +210,7 @@ def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0, t0) -> tu
 
         def g(t, z):
             a, b, da, db = _ab_view(system, t, z)
-            m = min(
-                da - db - cush * (abs(da) + abs(db)),
-                a - b - cush * (abs(a) + abs(b)),
-                b - bfloor - cush * (abs(b) + abs(bfloor)),
-            )
-            if strict:
-                m = min(m, da * b - a * db - cush * (abs(da * b) + abs(a * db)))
-            return m
+            return alc_margin(a, b, da, db, bfloor, CHAMBER_CUSHION, strict)
 
         return g, +1
 
@@ -221,11 +218,7 @@ def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0, t0) -> tu
 
         def g(t, z):
             a, b, da, db = _ab_view(system, t, z)
-            return min(
-                a * db - da * b - cush * (abs(a * db) + abs(da * b)),
-                b - a - cush * (abs(a) + abs(b)),
-                b - bfloor - cush * (abs(b) + abs(bfloor)),
-            )
+            return death_margin(a, b, da, db, bfloor, CHAMBER_CUSHION)
 
         return g, +1
 
@@ -247,12 +240,11 @@ def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0, t0) -> tu
         return g, -1
 
     if event.kind == "hits_gamma2":
-        k = d["k"]
-        m2, n2 = d["m2r03"], d["n2r03"]
+        k, m2, n2 = d["k"], d["m2r03"], d["n2r03"]
 
         def g(t, z):
             a, b, _, _ = _ab_view(system, t, z)
-            return k * a - (b * b - m2 * n2) / math.sqrt((b + m2) * (b + n2))
+            return gamma2_margin(a, b, k, m2, n2)
 
         return g, -1
 
@@ -266,8 +258,7 @@ def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0, t0) -> tu
         return g, -1
 
     if event.kind == "blow_up":
-        scale0 = max(np.max(np.abs(z0)), params.scale3, 1.0)
-        limit = d.get("factor", BLOWUP_FACTOR) * scale0
+        limit = BLOWUP_FACTOR * max(np.max(np.abs(z0)), params.scale3, 1.0)
 
         def g(t, z):
             a, b, da, db = _ab_view(system, t, z)
@@ -332,10 +323,6 @@ class Trajectory:
     segments: list = field(default_factory=list)
     anchor: dict = field(default_factory=dict)
 
-    @property
-    def param(self) -> Param:
-        return Param.A_EQUALS_S if self.system == "u1_a" else Param.ARC_LENGTH_T
-
     def __len__(self):
         return len(self.ts)
 
@@ -394,12 +381,11 @@ def integrate(
     seed: FullState | U1State,
     t_start: float,
     params: ModelParams,
-    stops: list[StopEvent] | None = None,
+    stops: Sequence[StopEvent] | None = None,
     budget: Budget | None = None,
     direction: int = +1,
     rtol: float = 1e-11,
     atol_scale: float = 1e-13,
-    first_step: float | None = None,
 ) -> Trajectory:
     """Integrate from the seed until the first stop event or budget exhaustion."""
     system, z0 = state_to_vec(seed)
@@ -416,10 +402,10 @@ def integrate(
 
     fun = _VECTOR_FIELDS[system](params)
     t_end = t_start + direction * budget.span
-    margins = [_margin_fn(ev, system, params, z0, t_start) for ev in stops]
+    margins = [_margin_fn(ev, system, params, z0) for ev in stops]
 
     atol = atol_scale * max(1.0, float(np.max(np.abs(z0))))
-    solver = DOP853(fun, t_start, z0, t_end, rtol=rtol, atol=atol, first_step=first_step)
+    solver = DOP853(fun, t_start, z0, t_end, rtol=rtol, atol=atol)
     ts = [t_start]
     zs = [z0.copy()]
     segments: list = []

@@ -2,8 +2,9 @@
 
 Everything here is an exact pointwise evaluation: the stability quartic and
 its U(1) reduction F, the Hamiltonian, the induced metric and its inversion,
-mean curvature, the Lagrangian density and the SU(2)^3-symmetric solution
-curve.  No integration happens in this module.
+mean curvature, the Lagrangian density, the SU(2)^3-symmetric solution
+curve, and the margins whose signs define the chambers and the gamma2
+stopping curve.  No integration happens in this module.
 """
 from __future__ import annotations
 
@@ -150,6 +151,46 @@ def eval_F(a: float, b: float, params: ModelParams) -> tuple[float, float, float
     fa = 8 * a * (b - p) * (b + q)
     fb = 4 * a * a * (2 * b + q - p) - 4 * b * c
     return float(f), float(fa), float(fb)
+
+
+# -- chambers and stopping curves --------------------------------------------
+# Each region is the set where its margin is > 0; stop events locate the
+# margin's zero.  For floats, x - y > c (|x| + |y|) exactly when
+# x - y - c (|x| + |y|) > 0, so a margin and its inequalities agree.
+
+
+def _excess(x, y, cushion):
+    """How far x exceeds y beyond a relative cushion; positive iff x > y with margin."""
+    return x - y - cushion * (abs(x) + abs(y))
+
+
+def alc_margin(a, b, da, db, b_floor, cushion, strict):
+    """Positive inside the ALC chamber: da > db, a > b, b > b_floor (and da b > a db if strict), cushioned."""
+    m = min(_excess(da, db, cushion), _excess(a, b, cushion), _excess(b, b_floor, cushion))
+    if strict:
+        m = min(m, alc_strict_margin(a, b, da, db, cushion))
+    return m
+
+
+def alc_strict_margin(a, b, da, db, cushion):
+    """The clause da b > a db, cushioned, that the strict ALC chamber adds to the ALC chamber."""
+    return _excess(da * b, a * db, cushion)
+
+
+def death_margin(a, b, da, db, b_floor, cushion):
+    """Positive inside the death quadrant: a db > da b, b > a and b > b_floor, cushioned."""
+    return min(_excess(a * db, da * b, cushion), _excess(b, a, cushion), _excess(b, b_floor, cushion))
+
+
+def in_ac_backward(a, b, da, db, p, q):
+    """The backward-AC region b > a > 0, da > db > 0, b > max(p, -q), on floats or
+    elementwise on arrays; uncushioned, as its defining mode is tiny far out on an AC end."""
+    return (b > a) & (a > 0) & (da > db) & (db > 0) & (b > max(p, -q))
+
+
+def gamma2_margin(a, b, k, m2r03, n2r03):
+    """k a - (b^2 - m^2 n^2 r0^6) / sqrt((b + m^2 r0^3)(b + n^2 r0^3)); zero on gamma2."""
+    return k * a - (b * b - m2r03 * n2r03) / math.sqrt((b + m2r03) * (b + n2r03))
 
 
 # -- Hamiltonian and curvature ----------------------------------------------

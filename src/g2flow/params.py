@@ -99,13 +99,3 @@ class ModelParams:
             return abs(self.r0) ** 3
         s = max(abs(self.p), abs(self.q))
         return s if s > 0 else 1.0
-
-    def rescaled(self, lam: float) -> ModelParams:
-        """Params of the lam^3-rescaled problem: (p, q) -> (lam^3 p, lam^3 q)."""
-        if self.family is None:
-            return ModelParams.plain(lam**3 * self.p, lam**3 * self.q)
-        if self.family == "kmn":
-            return ModelParams.kmn(self.m, self.n, lam * self.r0)
-        if self.family == "delta_su2":
-            return ModelParams.delta_su2(lam * self.r0)
-        return ModelParams.su2_factor(lam * self.r0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -713,12 +713,12 @@ def _cs_state(sol: SeriesSolution, t: float) -> U1State:
     return U1State(a=a, b=b, da=da, db=db)
 
 
+@lru_cache(maxsize=16)
 def _ac_series_unit(p: float, q: float, order: float) -> SeriesSolution:
-    """AC series at unit free coefficient; coefficients scale as c^h1 afterwards."""
-    key = (p, q, order)
-    cached = _AC_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """AC series at unit free coefficient; coefficients scale as c^h1 afterwards.
+
+    Shared by every shot at the same (p, q): callers must not modify it.
+    """
     v = np.array([-(4.0 + NU0) / 9.0, (8.0 + 2 * NU0) / 9.0, -1.0 / 3.0, 2.0 / 3.0])
 
     def repair(ctx: RepairContext) -> np.ndarray:
@@ -735,7 +735,7 @@ def _ac_series_unit(p: float, q: float, order: float) -> SeriesSolution:
         kappa = -h0 / (h1 - h0)
         return yp + kappa * ctx.kernel
 
-    sol = solve_singular_ivp(
+    return solve_singular_ivp(
         _phi_ac(p, q),
         np.zeros(4),
         (3.0, NUINF),
@@ -745,11 +745,6 @@ def _ac_series_unit(p: float, q: float, order: float) -> SeriesSolution:
         direction="from_infinity_backward",
         meta={"family": "ac_end", "p": p, "q": q, "c": 1.0},
     )
-    _AC_CACHE[key] = sol
-    return sol
-
-
-_AC_CACHE: dict = {}
 
 
 def seed_ac_end(params: ModelParams, c, T_switch, order=None):
@@ -856,7 +851,7 @@ class SeedSpec:
         if self.family == "su2_factor":
             sol, state = seed_su2_factor(self.r0, *self.alphas, t, self.order)
             return ModelParams.su2_factor(self.r0), state, sol
-        if self.family in ("kmn", "k11"):
+        if self.family == "kmn":
             sol, state = seed_kmn(self.m, self.n, self.r0, self.beta, self.alpha, t, self.order)
             return ModelParams.kmn(self.m, self.n, self.r0), state, sol
         if self.family == "cs_end":

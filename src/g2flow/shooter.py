@@ -27,8 +27,8 @@ from .errors import (
     SeedError,
     StiffnessError,
 )
-from .flow import Budget, StopEvent, Trajectory, integrate
-from .invariants import Param, U1State, u1_from_full
+from .flow import DEGENERATION_STOPS, Budget, StopEvent, Trajectory, integrate
+from .invariants import Param, U1State, eval_F, gamma2_margin, in_ac_backward, u1_from_full
 from .params import ModelParams
 from .seeds import NUINF, SeedSpec, seed_ac_end, seed_kmn
 
@@ -55,18 +55,21 @@ class GammaCurve:
     def corner_b(self) -> float:
         return self.m * self.n * self.r0**3
 
+    @property
+    def gamma2_data(self) -> dict:
+        """The arguments of `invariants.gamma2_margin` that fix this curve's gamma2."""
+        return {"k": self.k, "m2r03": self.m**2 * self.r0**3, "n2r03": self.n**2 * self.r0**3}
+
     def gamma2_margin(self, a: float, b: float) -> float:
-        m2 = self.m**2 * self.r0**3
-        n2 = self.n**2 * self.r0**3
-        return self.k * a - (b * b - m2 * n2) / math.sqrt((b + m2) * (b + n2))
+        return gamma2_margin(a, b, **self.gamma2_data)
 
 
-def gamma_hit_test(state: U1State, gamma: GammaCurve, corner_eps: float = CORNER_EPS):
+def gamma_hit_test(state: U1State, gamma: GammaCurve):
     """Signed distances to gamma1 and gamma2 plus the corner flag."""
     d1 = state.b - gamma.corner_b
     d2 = gamma.gamma2_margin(state.a, state.b)
     scale = gamma.r0**3
-    corner = abs(d1) <= corner_eps * scale and abs(state.a) <= corner_eps * scale
+    corner = abs(d1) <= CORNER_EPS * scale and abs(state.a) <= CORNER_EPS * scale
     return d1, d2, corner
 
 
@@ -93,7 +96,8 @@ class ShootResult:
         )
 
 
-def _to_aparam(state: U1State) -> U1State:
+def to_aparam(state: U1State) -> U1State:
+    """The same point with a as the parameter: da = 1, db = mu = db/da."""
     return U1State(
         a=state.a, b=state.b, da=1.0, db=state.db / state.da, param=Param.A_EQUALS_S
     )
@@ -102,8 +106,6 @@ def _to_aparam(state: U1State) -> U1State:
 def extend_ac_backward(
     seed: SeedSpec | tuple,
     gamma: GammaCurve,
-    budget: Budget | None = None,
-    corner_eps: float = CORNER_EPS,
     rtol: float = 1e-11,
 ) -> tuple[Trajectory, str]:
     """Integrate an AC end backwards until it hits gamma1, gamma2 or the corner."""
@@ -112,32 +114,22 @@ def extend_ac_backward(
     else:
         params, state = seed
     if isinstance(state, U1State) and state.param is Param.ARC_LENGTH_T:
-        state = _to_aparam(state)
-    from .invariants import eval_F
-
-    f0 = eval_F(state.a, state.b, params)[0]
-    mu0 = state.db / state.da
-    inside = (
-        state.b > state.a > 0
-        and 0 < mu0 < 1
-        and f0 > 0
-        and state.b > max(params.p, -params.q)
-    )
-    if not inside:
+        state = to_aparam(state)
+    inside = in_ac_backward(state.a, state.b, state.da, state.db, params.p, params.q)
+    if not (inside and eval_F(state.a, state.b, params)[0] > 0):
         raise SeedError("backward extension needs a state in the backward-AC region (c > 0)")
 
     scale = gamma.r0**3
     stops = [
         StopEvent.make("hits_gamma1", level=gamma.corner_b),
-        StopEvent.make(
-            "hits_gamma2", k=gamma.k, m2r03=gamma.m**2 * gamma.r0**3, n2r03=gamma.n**2 * gamma.r0**3
-        ),
-        StopEvent.make("hits_corner", eps=corner_eps * scale),
+        StopEvent.make("hits_gamma2", **gamma.gamma2_data),
+        StopEvent.make("hits_corner", eps=CORNER_EPS * scale),
         StopEvent.make("blow_up"),
     ]
-    budget = budget or Budget(span=state.a, max_steps=400_000)
     try:
-        traj = integrate(state, state.a, params, stops, budget, direction=-1, rtol=rtol)
+        traj = integrate(
+            state, state.a, params, stops, Budget(span=state.a, max_steps=400_000), direction=-1, rtol=rtol
+        )
     except StiffnessError as exc:
         raise RegionExitError(f"backward run stalled: {exc}") from exc
 
@@ -149,7 +141,7 @@ def extend_ac_backward(
         return traj, "gamma2"
     if kind == "hits_corner":
         b_end = z[0]
-        if abs(b_end - gamma.corner_b) <= 10 * corner_eps * scale:
+        if abs(b_end - gamma.corner_b) <= 10 * CORNER_EPS * scale:
             return traj, "corner"
         return traj, "gamma1" if b_end < gamma.corner_b else "gamma2"
     raise RegionExitError(f"backward run ended with {kind} before reaching the gamma curve")
@@ -157,14 +149,13 @@ def extend_ac_backward(
 
 def _assert_backward_region(traj: Trajectory, params: ModelParams):
     """Monitor persistence of the backward-AC inequalities along the run."""
-    a, b, _, db = traj.ab_arrays()
-    mu = db  # da = 1 in the a-parametrization
-    inside = (b > a) & (mu > 0) & (mu < 1)
+    a, b, da, db = traj.ab_arrays()
+    inside = in_ac_backward(a, b, da, db, params.p, params.q)
     # the very last sample may sit on the stopping curve itself
     if not bool(np.all(inside[:-1])):
         i = int(np.argmin(inside[:-1]))
         raise RegionExitError(
-            f"backward-AC region left at a = {a[i]}: (b - a, mu) = ({b[i] - a[i]}, {mu[i]})"
+            f"backward-AC region left at a = {a[i]}: (b - a, mu) = ({b[i] - a[i]}, {db[i] / da[i]})"
         )
 
 
@@ -255,9 +246,7 @@ def find_c_ac(
     )
 
 
-def closure_extract_beta(
-    traj: Trajectory, m: int, n: int, r0: float, fit_window: float = 0.35
-) -> tuple[float, dict]:
+def closure_extract_beta(traj: Trajectory, m: int, n: int, r0: float) -> tuple[float, dict]:
     """Extract beta from the corner limits da^2 -> r0^4 beta^2 and the b-slope.
 
     The trajectory must be a-parametrized and terminate near the corner
@@ -276,14 +265,12 @@ def closure_extract_beta(
     if resid["b_end_mismatch"] > 1e-3 or resid["a_end"] > 1e-3:
         raise ClosureError("trajectory does not terminate at the corner", residuals=resid)
 
-    window = np.abs(s) <= max(abs(s_end) / fit_window, 20 * abs(s_end))
+    window = np.abs(s) <= 20 * abs(s_end)
     window &= np.abs(s) > 0
     if np.count_nonzero(window) < 6:
         window = np.zeros_like(s, dtype=bool)
         window[-8:] = True
     sw, bw, muw = s[window], b[window], mu[window]
-    from .invariants import eval_F
-
     params = ModelParams.kmn(m, n, r0)
     da2 = np.empty_like(sw)
     for i, (si, bi, mi) in enumerate(zip(sw, bw, muw)):
@@ -314,30 +301,34 @@ def closure_extract_beta(
 # -- forward shooting -----------------------------------------------------------
 
 
-def _forward_side(
-    m: int, n: int, r0: float, beta: float, t_switch: float, rtol: float, span0: float
-) -> str:
-    """ALC side (crosses a = b with da > db) vs incomplete side (death quadrant)."""
-    params = ModelParams.kmn(m, n, r0)
-    state = None
+def forward_seed(m: int, n: int, r0: float, beta: float) -> U1State:
+    """The a-parametrized K(m, n) seed of forward shooting, taken at
+    t = 0.05 r0, or at a fraction of it where the series cannot reach."""
+    t_switch = 0.05 * abs(r0)
     for shrink in (1.0, 0.5, 0.25, 0.1):
         try:
             _, state = seed_kmn(m, n, r0, beta, t_switch=shrink * t_switch)
             break
         except SeedError:
-            continue
-    if state is None:
+            if shrink == 0.1:
+                raise
+    return to_aparam(u1_from_full(state))
+
+
+def forward_side(m: int, n: int, r0: float, beta: float, rtol: float = 1e-11) -> str:
+    """ALC side (crosses a = b with da > db) vs incomplete side (death quadrant).
+
+    The run starts from `forward_seed` and its span grows from 50 r0^3 mn
+    until it reaches either side.
+    """
+    params = ModelParams.kmn(m, n, r0)
+    try:
+        seed = forward_seed(m, n, r0, beta)
+    except SeedError:
         return "seed_error"
-    u1 = u1_from_full(state)
-    seed = _to_aparam(u1)
-    span = span0
+    span = 50.0 * r0**3 * max(m * n, 1)
+    stops = [StopEvent.make("reaches_a_equals_b"), StopEvent.make("enters_death_chamber"), *DEGENERATION_STOPS]
     for _ in range(6):
-        stops = [
-            StopEvent.make("reaches_a_equals_b"),
-            StopEvent.make("enters_death_chamber"),
-            StopEvent.make("F_vanishes"),
-            StopEvent.make("blow_up"),
-        ]
         traj = integrate(seed, seed.a, params, stops, Budget(span=span), rtol=rtol)
         kind, _tp, z = traj.terminal_event
         if kind == "reaches_a_equals_b":
@@ -355,16 +346,13 @@ def find_beta_ac(
     n: int,
     r0: float,
     tol: float = 1e-6,
-    t_switch: float | None = None,
     rtol: float = 1e-11,
 ) -> ShootResult:
     """Forward bisection on the seed parameter beta between ALC and incomplete."""
-    t_switch = t_switch if t_switch is not None else 0.05 * abs(r0)
-    span0 = 50.0 * r0**3 * max(m * n, 1)
     history: list = []
 
     def side(beta: float) -> str:
-        tag = _forward_side(m, n, r0, beta, t_switch, rtol, span0)
+        tag = forward_side(m, n, r0, beta, rtol)
         history.append((beta, tag))
         return tag
 

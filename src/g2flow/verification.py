@@ -13,7 +13,7 @@ import numpy as np
 
 from .classify import ClassifyBudget, chamber_membership, classify_trajectory
 from .errors import DomainError, G2FlowError
-from .flow import Budget, StopEvent, integrate
+from .flow import DEGENERATION_STOPS, Budget, integrate
 from .invariants import U1State, eval_F, su2cubed_curve_residual, u1_from_full
 from .params import ModelParams
 from .seeds import (
@@ -132,7 +132,7 @@ def check_hamiltonian_conservation(ctx) -> CheckResult:
         t0 = spec.switch_parameter
         span = _growth_span(state.a * growth)
         traj = integrate(
-            state, t0, params, [StopEvent.make("F_vanishes"), StopEvent.make("blow_up")],
+            state, t0, params, DEGENERATION_STOPS,
             Budget(span=span), rtol=1e-11,
         )
         a_grow = traj.ab_arrays()[0][-1] / state.a
@@ -299,7 +299,7 @@ def check_chamber_persistence(ctx) -> CheckResult:
             span = 0.5 * max(1.0, state.b ** (1.0 / 3.0))
             traj = integrate(
                 state, 0.0, params,
-                [StopEvent.make("F_vanishes"), StopEvent.make("blow_up")],
+                DEGENERATION_STOPS,
                 Budget(span=span), rtol=1e-9,
             )
             upto = len(traj) - (1 if traj.terminal_event and traj.terminal_event[0] != "budget_exhausted" else 0)
@@ -403,7 +403,9 @@ def check_alc_asymptotics(ctx) -> CheckResult:
         if rel > 0.02:
             failures.append(f"{label}: ell estimators disagree by {rel:.3f}")
         expo = verdict.diagnostics.get("b_fit_exponent")
-        if expo is not None and abs(expo - 2.0) > 0.05:
+        if expo is None:
+            failures.append(f"{label}: no b ~ t^k growth-exponent fit")
+        elif abs(expo - 2.0) > 0.05:
             failures.append(f"{label}: b ~ t^k fit k = {expo:.3f}")
     for m, n, fwd in ctx.alc_tails:
         checked += 1

@@ -5,6 +5,7 @@ ALC verdicts of the trichotomy and shooting checks feed the asymptotics check.
 import pytest
 
 from g2flow import verification as V
+from g2flow.classify import Verdict
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,14 @@ def test_criterion_09_figure1(ctx):
 
 def test_criterion_10_alc_asymptotics(ctx):
     _run(ctx, V.check_alc_asymptotics)
+
+
+def test_criterion_10_requires_growth_exponent():
+    """An ALC verdict without a fitted b-growth exponent fails criterion 10."""
+    ctx = V.VerificationContext(quick=True)
+    ctx.alc_verdicts.append(("no-fit", Verdict(kind="ALC", ell=1.0, ell_alt=1.0)))
+    res = ctx.run(V.check_alc_asymptotics)
+    assert not res.passed and "no-fit" in res.measured
 
 
 def test_criterion_11_series_residual_orders(ctx):

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from g2flow import shooter
 from g2flow.classify import (
     ClassifyBudget,
+    alc_strict_supported,
     chamber_membership,
     classify_trajectory,
     extract_alc_ell,
     monitor_ratios,
 )
-from g2flow.errors import DomainError
-from g2flow.flow import Budget, StopEvent, Trajectory, integrate
+from g2flow.errors import DomainError, SeedError
+from g2flow.flow import Budget, StopEvent, Trajectory, _margin_fn, integrate, state_to_vec, vec_to_state
 from g2flow.invariants import U1State, eval_F
 from g2flow.params import ModelParams
 from g2flow.seeds import SeedSpec, seed_ac_end, seed_cs_end, seed_delta_su2
@@ -55,6 +57,78 @@ class TestChamberMembership:
         st = on_shell(7.0, 5.0, 2.0, params)
         mem = chamber_membership(st, params)
         assert "alc_chamber" in mem and "alc_strict" not in mem
+
+
+# criterion 7's parameter sets, plus one outside the strict-chamber hypotheses
+DRIFT_PARAMS = [
+    ModelParams.delta_su2(1.0),
+    ModelParams.su2_factor(1.0),
+    ModelParams.kmn(1, 2, 1.0),
+    ModelParams.kmn(2, 3, 1.0),
+    ModelParams.cone(),
+    ModelParams.plain(1.0, -2.0),
+]
+
+
+def _ratio(rng):
+    """Exactly 1, within 4e-9 of 1 (across the 1e-9 relative cushion), or anywhere."""
+    u = rng.uniform()
+    return 1.0 if u < 0.1 else 1.0 + rng.uniform(-4e-9, 4e-9) if u < 0.5 else rng.uniform(0.2, 3.0)
+
+
+def wall_states(params, rng, count=400):
+    """On-shell states in and around every region, many on or within rounding of a wall."""
+    bfl = params.b_floor
+    base = max(bfl, params.scale3, 0.3)
+    states = []
+    while len(states) < count:
+        b = bfl * _ratio(rng) if bfl > 0 and rng.uniform() < 0.25 else bfl + base * rng.uniform(0.05, 2.0)
+        a = b * _ratio(rng) * (-1.0 if rng.uniform() < 0.1 else 1.0)
+        lam = _ratio(rng) * (abs(a) / b if rng.uniform() < 0.5 else 1.0)
+        if eval_F(a, b, params)[0] > 0:
+            states.append(on_shell(a, b, lam, params))
+    return states
+
+
+class TestChambersDefinedOnce:
+    """Stop events, membership and the backward seed check read the same inequalities."""
+
+    @pytest.mark.parametrize("params", DRIFT_PARAMS, ids=lambda p: f"p={p.p:g},q={p.q:g}")
+    def test_event_margins_agree_with_membership(self, params):
+        def margin(kind, **data):
+            return _margin_fn(StopEvent.make(kind, **data), "u1_arc", params, None)[0]
+
+        alc, alc_strict = margin("enters_alc_chamber"), margin("enters_alc_chamber", strict=True)
+        death = margin("enters_death_chamber")
+        seen = set()
+        for st in wall_states(params, np.random.default_rng(17)):
+            z = state_to_vec(st)[1]
+            st = vec_to_state("u1_arc", 0.0, z)  # the (a, b, da, db) the margins read
+            mem = chamber_membership(st, params)
+            assert ("alc_chamber" in mem) == (alc(0.0, z) > 0)
+            assert ("alc_strict" in mem) == (alc_strict_supported(params) and alc_strict(0.0, z) > 0)
+            assert ("death_quadrant" in mem) == (st.a > 0 and death(0.0, z) > 0)
+            seen |= {(name, name in mem) for name in ("alc_chamber", "death_quadrant")}
+        assert len(seen) == 4  # each chamber both entered and missed
+
+    @pytest.mark.parametrize("params", DRIFT_PARAMS, ids=lambda p: f"p={p.p:g},q={p.q:g}")
+    def test_backward_seed_check_agrees_with_membership(self, params, monkeypatch):
+        class Admitted(Exception):
+            pass
+
+        def admitted(*_args, **_kwargs):
+            raise Admitted
+
+        monkeypatch.setattr(shooter, "integrate", admitted)  # stop at the run an admitted seed starts
+        gamma = shooter.GammaCurve(m=1, n=2, r0=1.0)
+        admitted_count = 0
+        states = wall_states(params, np.random.default_rng(23))
+        for st in states:
+            inside = "ac_backward" in chamber_membership(st, params)
+            with pytest.raises(Admitted if inside else SeedError):
+                shooter.extend_ac_backward((params, st), gamma)
+            admitted_count += inside
+        assert 0 < admitted_count < len(states)
 
 
 class TestMonitorRatios:
