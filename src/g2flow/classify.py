@@ -135,18 +135,15 @@ class ClassifyBudget:
 
 
 def classify_trajectory(
-    seed: SeedSpec | tuple,
+    seed: SeedSpec,
     budget: ClassifyBudget | None = None,
     confirm_blowup: bool = False,
     rtol: float = 1e-11,
 ) -> Verdict:
     """Integrate a seed forward and decide ALC / AC / Incomplete / Indeterminate."""
     budget = budget or ClassifyBudget()
-    if isinstance(seed, SeedSpec):
-        params, state0, _series = seed.build()
-        t0 = seed.switch_parameter if seed.switch_parameter is not None else seed.default_switch()
-    else:
-        params, state0, t0 = seed
+    params, state0, _series = seed.build()
+    t0 = seed.t_switch
 
     if isinstance(state0, FullState):
         try:
@@ -302,19 +299,10 @@ def classify_trajectory(
 
 def _verify_conical(state0, t0, params, budget, rtol, diag) -> Verdict:
     """Validate the AC criterion on a symmetric seed: |b/a - 1| pinned while t doubles."""
-    span = 7.0 * t0  # lets t double three times, well before roundoff amplifies
-    traj = integrate(
-        state0,
-        t0,
-        params,
-        DEGENERATION_STOPS,
-        Budget(span=span, max_steps=budget.max_steps),
-        rtol=rtol,
-    )
-    diag["legs"] = diag.get("legs", 0) + 1
-    if traj.terminal_event[0] != "budget_exhausted":
-        k, tp, _ = traj.terminal_event
-        return Verdict(kind="Incomplete", reason=k, event=(k, tp), diagnostics=diag)
+    # a span of 7 t0 lets t double three times, well before roundoff amplifies
+    traj, stopped = _degeneration_leg(state0, t0, 7.0 * t0, params, budget, rtol, diag)
+    if stopped is not None:
+        return stopped
     a, b, _, _ = traj.ab_arrays()
     rel = float(np.max(np.abs(b / a - 1.0)))
     diag["ac_mode"] = "symmetric seed"

@@ -13,12 +13,12 @@ import numpy as np
 
 from .classify import ClassifyBudget, chamber_membership, classify_trajectory
 from .config import RunConfig, load_config
-from .errors import BracketError, ConfigError, G2FlowError
+from .errors import BracketError, ConfigError, ConstraintError, G2FlowError
 from .flow import DEGENERATION_STOPS, Budget, StopEvent, Trajectory, integrate, vec_to_state
 from .invariants import FullState, eval_F, eval_lambda, hamiltonian, mean_curvature, u1_from_full
 from .params import ModelParams
 from .seeds import SeedSpec
-from .shooter import GammaCurve, extend_ac_backward, find_beta_ac, find_c_ac, forward_seed, forward_side
+from .shooter import find_beta_ac, find_c_ac, forward_seed, forward_side
 
 CSV_HEADER = (
     "param,t,s,a,b,da,db,F,H,mean_curvature,alc_chamber,alc_strict,death_quadrant,ac_backward"
@@ -32,42 +32,16 @@ def _fmt(x: float) -> str:
 
 
 def spec_from_config(cfg: RunConfig) -> SeedSpec:
-    fam = (cfg.family or "").lower()
-    swp = cfg.t_switch if cfg.t_switch is not None else cfg.t0
-    if fam in ("cone",):
-        return SeedSpec(family="cone", switch_parameter=swp or 1.0)
-    if fam in ("b7", "delta_su2"):
-        if cfg.alpha3 is None:
-            raise ConfigError("b7 needs --alpha3")
-        a3 = cfg.alpha3
-        a1 = cfg.alpha1
-        a2 = cfg.alpha2
-        if a1 is None:  # solve 64 r0 (2 a1 + a3) = 1
-            a1 = (1.0 / (64.0 * cfg.r0) - a3) / 2.0
-        if a2 is None:
-            a2 = a1
-        return SeedSpec(family="delta_su2", r0=cfg.r0, alphas=(a1, a2, a3), switch_parameter=swp)
-    if fam in ("d7", "su2_factor"):
-        if cfg.alpha3 is None:
-            raise ConfigError("d7 needs --alpha3")
-        a3 = cfg.alpha3
-        a1 = cfg.alpha1 if cfg.alpha1 is not None else 1.0 / math.sqrt(a3)
-        a2 = cfg.alpha2 if cfg.alpha2 is not None else a1
-        return SeedSpec(family="su2_factor", r0=cfg.r0, alphas=(a1, a2, a3), switch_parameter=swp)
-    if fam in ("kmn", "k11", "c7"):
-        if cfg.beta is None:
-            raise ConfigError("kmn needs --beta")
+    """The seed the configuration names; `SeedSpec` resolves the family name
+    and fills in the inputs left unset."""
+    try:
         return SeedSpec(
-            family="kmn", m=cfg.m, n=cfg.n, r0=cfg.r0, beta=cfg.beta, alpha=cfg.alpha,
-            switch_parameter=swp,
+            family=cfg.family, switch_parameter=cfg.t_switch if cfg.t_switch is not None else cfg.t0,
+            r0=cfg.r0, alphas=(cfg.alpha1, cfg.alpha2, cfg.alpha3), alpha=cfg.alpha, beta=cfg.beta,
+            m=cfg.m, n=cfg.n, c=cfg.c, p=cfg.p, q=cfg.q,
         )
-    if fam in ("cs", "cs_end"):
-        return SeedSpec(family="cs_end", c=cfg.c, switch_parameter=swp)
-    if fam in ("ac", "ac_end"):
-        p = cfg.p if cfg.p is not None else -(cfg.m**2) * cfg.r0**3
-        q = cfg.q if cfg.q is not None else (cfg.n**2) * cfg.r0**3
-        return SeedSpec(family="ac_end", p=p, q=q, c=cfg.c, switch_parameter=swp)
-    raise ConfigError(f"unknown family {cfg.family!r}")
+    except ConstraintError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _csv_rows(traj: Trajectory) -> list[str]:
@@ -146,9 +120,7 @@ def cmd_solve(cfg: RunConfig) -> dict:
             state = u1_from_full(state)  # the reduced system is the default form
         except G2FlowError:
             pass  # genuinely non-U(1): run the full system
-    t0 = spec.switch_parameter if spec.switch_parameter is not None else spec.default_switch()
-    if cfg.family == "cone" and cfg.t0 is not None:
-        t0 = cfg.t0
+    t0 = spec.t_switch
     t1 = cfg.t1 if cfg.t1 is not None else t0 + cfg.t_factor * params.scale3 ** (1.0 / 3.0)
 
     # chamber entries are recorded and the run continues; only genuine
@@ -252,14 +224,7 @@ def cmd_find_ac(cfg: RunConfig) -> dict:
         "config_hash": cfg.hash(),
     }
     os.makedirs(cfg.out_dir, exist_ok=True)
-    params = ModelParams.kmn(cfg.m, cfg.n, cfg.r0)
-    from .seeds import seed_ac_end
-
-    _, st = seed_ac_end(params, back.critical_value, back.meta.get("T_switch", 10.0))
-    traj, _hit = extend_ac_backward(
-        (params, st), GammaCurve(m=cfg.m, n=cfg.n, r0=cfg.r0, k=cfg.k), rtol=cfg.rtol
-    )
-    write_trajectory_csv(os.path.join(cfg.out_dir, "critical_trajectory.csv"), traj)
+    write_trajectory_csv(os.path.join(cfg.out_dir, "critical_trajectory.csv"), back.trajectory)
     with open(os.path.join(cfg.out_dir, "find_ac.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     return report

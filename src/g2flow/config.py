@@ -10,6 +10,7 @@ import os
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
+from .shooter import TOL_FLOOR
 
 ENV_VAR = "G2FLOW_CONFIG"
 
@@ -74,9 +75,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    for name in ("tol", "rtol"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
+    if not cfg.tol >= TOL_FLOOR:
+        raise ConfigError(f"tol must be at least {TOL_FLOOR}: bisection cannot resolve a finer bracket")
+    if cfg.rtol <= 0:
+        raise ConfigError("rtol must be positive")
     if not (1.0 < cfg.k < 2.0):
         raise ConfigError("k must lie in (1, 2)")
     if cfg.t_switch is not None and cfg.t_switch <= 0:

@@ -7,10 +7,15 @@ blown-up variables in which the right-hand side is analytic:
 
 * delta_su2   -- singular S^3 with diagonal stabiliser (the B7 setup),
 * su2_factor  -- singular S^3 with factor stabiliser (the D7 setup),
-* k11 / kmn   -- singular S^2 x S^3 (the C7(m,n) setup),
+* kmn         -- singular S^2 x S^3 (the C7(m,n) setup; alpha != 0 gives the
+                 non-U(1)-symmetric K(1,1) seeds),
 * cs_end      -- conically singular end at t -> 0,
 * ac_end      -- asymptotically conical end at t -> infinity (series in 1/t,
-                 with a repaired resonance at the sixth-order coefficient).
+                 with a repaired resonance at the sixth-order coefficient),
+
+plus the exact cone.  This is the only module that knows the families:
+`FAMILIES` maps every accepted name to its canonical family, and
+`SeedSpec.build` is the one dispatch on it.
 """
 from __future__ import annotations
 
@@ -40,12 +45,18 @@ _AC_MIN_ORDER = 15.0
 # escalation ladders: the order is raised until the tail bound at the switch
 # parameter and the Hamiltonian budget of the emitted state are met; six
 # nu0-harmonics keep the cs_end tail below 1e-10 at the default switch point
-_ORDER_LADDER = {
-    "delta_su2": (10.0, 14.0, 18.0, 24.0, 30.0),
-    "su2_factor": (10.0, 14.0, 18.0, 24.0, 30.0),
-    "k11": (10.0, 14.0, 18.0, 24.0),
-    "kmn": (10.0, 14.0, 18.0, 24.0, 30.0),
-    "cs_end": (6 * NU0 + 1e-9, 9 * NU0 + 1e-9, 12 * NU0 + 1e-9),
+_SMOOTH_LADDER = (10.0, 14.0, 18.0, 24.0, 30.0)  # delta_su2, su2_factor, kmn
+_K11_LADDER = (10.0, 14.0, 18.0, 24.0)
+_CS_LADDER = (6 * NU0 + 1e-9, 9 * NU0 + 1e-9, 12 * NU0 + 1e-9)
+
+# every accepted seed-family name (in any case) and the canonical family it builds
+FAMILIES = {
+    "cone": "cone",
+    "b7": "delta_su2", "delta_su2": "delta_su2",
+    "d7": "su2_factor", "su2_factor": "su2_factor",
+    "c7": "kmn", "k11": "kmn", "kmn": "kmn",
+    "cs": "cs_end", "cs_end": "cs_end",
+    "ac": "ac_end", "ac_end": "ac_end",
 }
 
 
@@ -562,17 +573,17 @@ def _check_seed_state(state, params: ModelParams, tol_scale: float = 1e-10):
     return state
 
 
-def _seed_by_ladder(family: str, order, t: float, params: ModelParams, solve, state_of):
+def _seed_by_ladder(ladder: tuple, order, t: float, params: ModelParams, solve, state_of):
     """Series and checked state from the first order that passes.
 
-    The order climbs the family's ladder (or is `order` alone when given)
+    The order climbs `ladder` (or is `order` alone when given)
     until the series tail at the switch parameter t and the Hamiltonian of
     the emitted state pass their checks; the last SeedError is re-raised
     when no order does.  `solve(order=...)` returns the series solution and
     `state_of(sol)` the state it emits.
     """
     last_exc = None
-    for trial in (order,) if order is not None else _ORDER_LADDER[family]:
+    for trial in (order,) if order is not None else ladder:
         sol = solve(order=trial)
         state = state_of(sol)
         try:
@@ -585,8 +596,7 @@ def _seed_by_ladder(family: str, order, t: float, params: ModelParams, solve, st
 
 def seed_delta_su2(r0, alpha1, alpha2, alpha3, t_switch, order=None):
     """Series and state for the family closing on the diagonal singular S^3."""
-    if r0 <= 0:
-        raise ConstraintError("delta_su2 requires r0 > 0")
+    params = ModelParams.delta_su2(r0)
     if abs(64 * r0 * (alpha1 + alpha2 + alpha3) - 1.0) > 1e-12:
         raise ConstraintError("delta_su2 requires 64 r0 (alpha1 + alpha2 + alpha3) = 1")
     al = (alpha1, alpha2, alpha3)
@@ -599,13 +609,12 @@ def seed_delta_su2(r0, alpha1, alpha2, alpha3, t_switch, order=None):
         XY = sol.evaluate(t)
         return FullState(x=r0**2 * t**2 / 4 + t**4 * XY[:3], y=r0**3 + r0 * t**2 / 4 + t**4 * XY[3:])
 
-    return _seed_by_ladder("delta_su2", order, t, ModelParams.delta_su2(r0), solve, state_of)
+    return _seed_by_ladder(_SMOOTH_LADDER, order, t, params, solve, state_of)
 
 
 def seed_su2_factor(r0, alpha1, alpha2, alpha3, t_switch, order=None):
     """Series and state for the family closing on the factor singular S^3."""
-    if r0 <= 0:
-        raise ConstraintError("su2_factor requires r0 > 0")
+    params = ModelParams.su2_factor(r0)
     if min(alpha1, alpha2, alpha3) <= 0:
         raise ConstraintError("su2_factor requires alpha_i > 0")
     if abs(alpha1 * alpha2 * alpha3 - 1.0) > 1e-12:
@@ -629,14 +638,13 @@ def seed_su2_factor(r0, alpha1, alpha2, alpha3, t_switch, order=None):
         XY = sol.evaluate(t)
         return FullState(x=t**2 * XY[:3], y=t**2 * XY[3:])
 
-    return _seed_by_ladder("su2_factor", order, t, ModelParams.su2_factor(r0), solve, state_of)
+    return _seed_by_ladder(_SMOOTH_LADDER, order, t, params, solve, state_of)
 
 
 def seed_kmn(m, n, r0, beta, alpha=None, t_switch=0.1, order=None):
     """Series and state for the family closing on the S^2 x S^3 singular orbit."""
     m, n = int(m), int(n)
-    if m <= 0 or n <= 0 or math.gcd(m, n) != 1:
-        raise ConstraintError("kmn requires coprime positive (m, n)")
+    params = ModelParams.kmn(m, n, r0)
     if beta is None or beta <= 0:
         raise ConstraintError("kmn requires beta > 0")
     if alpha is not None and alpha != 0.0:
@@ -644,7 +652,7 @@ def seed_kmn(m, n, r0, beta, alpha=None, t_switch=0.1, order=None):
             raise ConstraintError("a1 != a2 (alpha != 0) is only allowed for m = n = 1")
         if abs(alpha) >= 1:
             raise ConstraintError("k11 requires |alpha| < 1")
-        return _seed_k11(r0, float(alpha), beta, t_switch, order)
+        return _seed_k11(params, float(alpha), beta, t_switch, order)
     mn3 = m * n * r0**3
     y0 = np.array(
         [
@@ -664,10 +672,11 @@ def seed_kmn(m, n, r0, beta, alpha=None, t_switch=0.1, order=None):
         b = mn3 + t**2 * Y3
         return FullState(x=np.array([t * X1, t * X1, r0**4 * beta**2 + t**2 * X3]), y=np.array([a, a, b]))
 
-    return _seed_by_ladder("kmn", order, t, ModelParams.kmn(m, n, r0), solve, state_of)
+    return _seed_by_ladder(_SMOOTH_LADDER, order, t, params, solve, state_of)
 
 
-def _seed_k11(r0, alpha, beta, t_switch, order=None):
+def _seed_k11(params: ModelParams, alpha, beta, t_switch, order=None):
+    r0 = params.r0
     guess = np.array(
         [
             2 * r0**3 * math.sqrt(1 - alpha**2),
@@ -690,7 +699,7 @@ def _seed_k11(r0, alpha, beta, t_switch, order=None):
         y = np.array([r0**3 * alpha + t * Y1, -(r0**3) * alpha + t * Y2, r0**3 + t**2 * Y3])
         return FullState(x=x, y=y)
 
-    return _seed_by_ladder("k11", order, t, ModelParams.kmn(1, 1, r0), solve, state_of)
+    return _seed_by_ladder(_K11_LADDER, order, t, params, solve, state_of)
 
 
 def seed_cs_end(c, t_switch, order=None):
@@ -701,7 +710,7 @@ def seed_cs_end(c, t_switch, order=None):
     meta = {"family": "cs_end", "c": c, "t_switch": t_switch}
     solve = partial(solve_singular_ivp, _phi_cs(), np.zeros(4), (NU0,), free_modes={0: (c, v)}, meta=meta)
     state_of = partial(_cs_state, t=t_switch)
-    return _seed_by_ladder("cs_end", order, t_switch, ModelParams.cone(), solve, state_of)
+    return _seed_by_ladder(_CS_LADDER, order, t_switch, ModelParams.cone(), solve, state_of)
 
 
 def _cs_state(sol: SeriesSolution, t: float) -> U1State:
@@ -820,12 +829,19 @@ def cone_state(t: float) -> U1State:
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Declarative description of a seed; `build` produces (params, state, series)."""
+    """Declarative description of a seed; `build` produces (params, state, series).
+
+    `family` is any name in `FAMILIES` and reads back as its canonical family.
+    Inputs left as None take the family's value in `build`: the B7 alphas
+    from 64 r0 (a1 + a2 + a3) = 1 and the D7 alphas from a1 a2 a3 = 1 (a2 = a1
+    in both), and the AC end's (p, q) from K(m, n).  alpha3 (B7, D7) and beta
+    (K(m, n)) have no default.
+    """
 
     family: str
     switch_parameter: float | None = None
     r0: float = 1.0
-    alphas: tuple[float, float, float] | None = None
+    alphas: tuple[float | None, float | None, float | None] | None = None
     alpha: float = 0.0
     beta: float | None = None
     m: int = 1
@@ -835,21 +851,38 @@ class SeedSpec:
     q: float | None = None
     order: float | None = None
 
-    def default_switch(self) -> float:
-        if self.family == "ac_end":
-            return 50.0
-        if self.family == "cone":
-            return 1.0
-        scale = abs(self.r0) if self.r0 else 1.0
-        return 0.1 * (scale if scale > 0 else 1.0)
+    def __post_init__(self):
+        family = FAMILIES.get(str(self.family).lower())
+        if family is None:
+            raise ConstraintError(f"unknown seed family {self.family!r}")
+        if family in ("delta_su2", "su2_factor") and (self.alphas is None or self.alphas[2] is None):
+            raise ConstraintError(f"{self.family} seed needs alpha3")
+        if family == "kmn" and self.beta is None:
+            raise ConstraintError(f"{self.family} seed needs beta")
+        object.__setattr__(self, "family", family)
+
+    @property
+    def t_switch(self) -> float:
+        """The parameter the seed is taken at: `switch_parameter`, else the family default."""
+        if self.switch_parameter is not None:
+            return self.switch_parameter
+        if self.family in ("delta_su2", "su2_factor", "kmn"):
+            return 0.1 * (abs(self.r0) or 1.0)
+        return {"ac_end": 50.0, "cone": 1.0, "cs_end": 0.1}[self.family]  # r0 plays no part
 
     def build(self):
-        t = self.switch_parameter if self.switch_parameter is not None else self.default_switch()
+        t = self.t_switch
         if self.family == "delta_su2":
-            sol, state = seed_delta_su2(self.r0, *self.alphas, t, self.order)
+            a1, a2, a3 = self.alphas
+            if a1 is None:  # solve 64 r0 (2 a1 + a3) = 1
+                a1 = (1.0 / (64.0 * self.r0) - a3) / 2.0
+            sol, state = seed_delta_su2(self.r0, a1, a1 if a2 is None else a2, a3, t, self.order)
             return ModelParams.delta_su2(self.r0), state, sol
         if self.family == "su2_factor":
-            sol, state = seed_su2_factor(self.r0, *self.alphas, t, self.order)
+            a1, a2, a3 = self.alphas
+            if a1 is None:  # solve a1^2 a3 = 1
+                a1 = 1.0 / math.sqrt(a3)
+            sol, state = seed_su2_factor(self.r0, a1, a1 if a2 is None else a2, a3, t, self.order)
             return ModelParams.su2_factor(self.r0), state, sol
         if self.family == "kmn":
             sol, state = seed_kmn(self.m, self.n, self.r0, self.beta, self.alpha, t, self.order)
@@ -858,9 +891,11 @@ class SeedSpec:
             sol, state = seed_cs_end(self.c, t, self.order)
             return ModelParams.cone(), state, sol
         if self.family == "ac_end":
-            params = ModelParams.plain(self.p or 0.0, self.q or 0.0)
+            p, q = self.p, self.q
+            if p is None or q is None:  # the K(m, n) end
+                kmn = ModelParams.kmn(self.m, self.n, self.r0)
+                p, q = (kmn.p if p is None else p), (kmn.q if q is None else q)
+            params = ModelParams.plain(p, q)
             sol, state = seed_ac_end(params, self.c, t, self.order)
             return params, state, sol
-        if self.family == "cone":
-            return ModelParams.cone(), cone_state(t), None
-        raise ConstraintError(f"unknown seed family {self.family!r}")
+        return ModelParams.cone(), cone_state(t), None  # the exact cone

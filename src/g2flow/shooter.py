@@ -30,10 +30,15 @@ from .errors import (
 from .flow import DEGENERATION_STOPS, Budget, StopEvent, Trajectory, integrate
 from .invariants import Param, U1State, eval_F, gamma2_margin, in_ac_backward, u1_from_full
 from .params import ModelParams
-from .seeds import NUINF, SeedSpec, seed_ac_end, seed_kmn
+from .seeds import NUINF, seed_ac_end, seed_kmn
 
 DEFAULT_K = 1.5
 CORNER_EPS = 1e-5
+# backward runs start from the AC series at t = 10: from much further out the
+# decaying t^-nu_inf mode falls below double-precision resolution
+AC_T_SWITCH = 10.0
+# below this relative tolerance the bisection midpoint can round onto the bracket ends
+TOL_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,7 @@ class ShootResult:
     closure: dict | None = None
     history: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    trajectory: Trajectory | None = field(default=None, repr=False)  # the critical run; not serialized
 
     def to_json(self) -> str:
         return json.dumps(
@@ -104,15 +110,12 @@ def to_aparam(state: U1State) -> U1State:
 
 
 def extend_ac_backward(
-    seed: SeedSpec | tuple,
+    seed: tuple[ModelParams, U1State],
     gamma: GammaCurve,
     rtol: float = 1e-11,
 ) -> tuple[Trajectory, str]:
-    """Integrate an AC end backwards until it hits gamma1, gamma2 or the corner."""
-    if isinstance(seed, SeedSpec):
-        params, state, _ = seed.build()
-    else:
-        params, state = seed
+    """Integrate an AC end `(params, state)` backwards until it hits gamma1, gamma2 or the corner."""
+    params, state = seed
     if isinstance(state, U1State) and state.param is Param.ARC_LENGTH_T:
         state = to_aparam(state)
     inside = in_ac_backward(state.a, state.b, state.da, state.db, params.p, params.q)
@@ -159,11 +162,9 @@ def _assert_backward_region(traj: Trajectory, params: ModelParams):
         )
 
 
-def _hit_of(c: float, m: int, n: int, r0: float, gamma: GammaCurve, T_switch: float, rtol: float):
-    params = ModelParams.kmn(m, n, r0)
-    _, state = seed_ac_end(params, c, T_switch)
-    traj, hit = extend_ac_backward((params, state), gamma, rtol=rtol)
-    return traj, hit
+def _check_tol(tol: float):
+    if not tol >= TOL_FLOOR:
+        raise ValueError(f"shooting tolerance {tol} is below the floor {TOL_FLOOR}")
 
 
 def find_c_ac(
@@ -172,26 +173,30 @@ def find_c_ac(
     r0: float,
     tol: float = 1e-6,
     k: float = DEFAULT_K,
-    T_switch: float = 10.0,
     rtol: float = 1e-11,
 ) -> ShootResult:
     """Bisect the AC-end parameter c between gamma1 hits (below) and gamma2 (above)."""
+    _check_tol(tol)
     gamma = GammaCurve(m=m, n=n, r0=r0, k=k)
+    params = ModelParams.kmn(m, n, r0)
     # the corner sits at arc-length t ~ (54 mn r0^3 / sqrt3)^(1/3); the decaying
     # mode becomes order-one there when c ~ t_corner^nu_inf
     cscale = (54.0 / math.sqrt(3.0) * m * n * r0**3) ** (NUINF / 3.0)
     history: list = []
 
-    def hit_of(c: float):
-        traj, hit = _hit_of(c, m, n, r0, gamma, T_switch, rtol)
+    def run(c: float) -> tuple[Trajectory, str]:
+        _, state = seed_ac_end(params, c, AC_T_SWITCH)
+        return extend_ac_backward((params, state), gamma, rtol=rtol)
+
+    def hit_of(c: float) -> str:
+        _, hit = run(c)
         history.append((c, hit))
-        return traj, hit
+        return hit
 
     lo = hi = None  # lo: gamma1 side, hi: gamma2/corner side
     for j in range(-10, 15):
         c = cscale * 2.0**j
-        _, hit = hit_of(c)
-        if hit == "gamma1":
+        if hit_of(c) == "gamma1":
             lo = c
         else:
             hi = c
@@ -201,8 +206,7 @@ def find_c_ac(
         c = cscale * 2.0**-10
         while c > cscale * 2.0**-44:
             c /= 2
-            _, hit = hit_of(c)
-            if hit == "gamma1":
+            if hit_of(c) == "gamma1":
                 lo = c
                 break
         hi = 2 * lo if lo is not None else None
@@ -210,17 +214,16 @@ def find_c_ac(
         raise BracketError("no gamma1/gamma2 split over the scan grid", scan_table=history)
 
     iterations = 0
-    while (hi - lo) > tol * hi and iterations < 200:
+    while (hi - lo) > tol * hi:
         mid = 0.5 * (lo + hi)
-        _, hit = hit_of(mid)
-        if hit == "gamma1":
+        if hit_of(mid) == "gamma1":
             lo = mid
         else:
             hi = mid
         iterations += 1
 
     c_ac = 0.5 * (lo + hi)
-    traj_final, hit_final = _hit_of(c_ac, m, n, r0, gamma, T_switch, rtol)
+    traj_final, hit_final = run(c_ac)
     closure = None
     try:
         beta, residuals = closure_extract_beta(traj_final, m, n, r0)
@@ -240,9 +243,10 @@ def find_c_ac(
             "k": k,
             "scheme": "backward",
             "tol": tol,
-            "T_switch": T_switch,
+            "T_switch": AC_T_SWITCH,
             "final_hit": hit_final,
         },
+        trajectory=traj_final,
     )
 
 
@@ -349,6 +353,7 @@ def find_beta_ac(
     rtol: float = 1e-11,
 ) -> ShootResult:
     """Forward bisection on the seed parameter beta between ALC and incomplete."""
+    _check_tol(tol)
     history: list = []
 
     def side(beta: float) -> str:
@@ -382,8 +387,6 @@ def find_beta_ac(
                 f"indeterminate classification at beta = {mid}", scan_table=history
             )
         iterations += 1
-        if iterations > 200:
-            break
     return ShootResult(
         critical_value=0.5 * (lo + hi),
         bracket=(lo, hi),

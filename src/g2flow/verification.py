@@ -129,7 +129,7 @@ def check_hamiltonian_conservation(ctx) -> CheckResult:
         params, state, _ = spec.build()
         if not isinstance(state, U1State):
             state = u1_from_full(state)
-        t0 = spec.switch_parameter
+        t0 = spec.t_switch
         span = _growth_span(state.a * growth)
         traj = integrate(
             state, t0, params, DEGENERATION_STOPS,

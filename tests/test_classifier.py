@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from g2flow import shooter
+from g2flow import classify, shooter
 from g2flow.classify import (
     ClassifyBudget,
     alc_strict_supported,
@@ -12,7 +12,7 @@ from g2flow.classify import (
     extract_alc_ell,
     monitor_ratios,
 )
-from g2flow.errors import DomainError, SeedError
+from g2flow.errors import DomainError, SeedError, StiffnessError
 from g2flow.flow import Budget, StopEvent, Trajectory, _margin_fn, integrate, state_to_vec, vec_to_state
 from g2flow.invariants import U1State, eval_F
 from g2flow.params import ModelParams
@@ -227,6 +227,17 @@ class TestClassify:
         )
         assert v.kind == "Indeterminate"
         assert "U(1)" in v.reason
+
+    def test_symmetric_seed_stiffness_is_indeterminate(self, monkeypatch):
+        """A stalled run on an SU(2)^3-symmetric seed gives a verdict, like every other leg."""
+
+        def stalled(*args, **kwargs):
+            raise StiffnessError("step size underflow")
+
+        monkeypatch.setattr(classify, "integrate", stalled)
+        v = classify_trajectory(SeedSpec(family="cone", switch_parameter=1.0))
+        assert v.kind == "Indeterminate"
+        assert "underflow" in v.reason
 
     def test_verdict_json(self):
         v = classify_trajectory(SeedSpec(family="cs_end", c=1.0, switch_parameter=0.1))

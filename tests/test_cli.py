@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from g2flow.cli import main
+from g2flow.cli import main, spec_from_config
 from g2flow.config import RunConfig, load_config
 from g2flow.errors import ConfigError
 
@@ -45,6 +46,50 @@ class TestConfig:
     def test_bad_tolerance_exit_code(self, tmp_path):
         rc = main(["solve", "--family", "cone", "--tol", "-1", "--out-dir", str(tmp_path)])
         assert rc == 2
+        # below the shooting floor, which figure1 passes straight to find_beta_ac
+        rc = main(["solve", "--family", "cone", "--tol", "1e-20", "--out-dir", str(tmp_path)])
+        assert rc == 2
+
+
+# every accepted family name, the family it builds and that family's (p, q)
+# at the default m = n = r0 = 1
+FAMILY_NAMES = [
+    ("cone", "cone", (0.0, 0.0)),
+    ("CONE", "cone", (0.0, 0.0)),
+    ("b7", "delta_su2", (1.0, -1.0)),
+    ("delta_su2", "delta_su2", (1.0, -1.0)),
+    ("d7", "su2_factor", (-1.0, 0.0)),
+    ("su2_factor", "su2_factor", (-1.0, 0.0)),
+    ("kmn", "kmn", (-1.0, 1.0)),
+    ("k11", "kmn", (-1.0, 1.0)),
+    ("c7", "kmn", (-1.0, 1.0)),
+    ("cs", "cs_end", (0.0, 0.0)),
+    ("cs_end", "cs_end", (0.0, 0.0)),
+    ("ac", "ac_end", (-1.0, 1.0)),
+    ("ac_end", "ac_end", (-1.0, 1.0)),
+]
+
+
+class TestFamilyNames:
+    @pytest.mark.parametrize("name, family, pq", FAMILY_NAMES, ids=[f[0] for f in FAMILY_NAMES])
+    def test_name_builds_its_family(self, name, family, pq):
+        alpha3 = 2**-0.5 if family == "su2_factor" else 0.002  # auto alpha1, alpha2
+        spec = spec_from_config(RunConfig(family=name, alpha3=alpha3, beta=1.5, c=0.5))
+        assert spec.family == family
+        params, state, _ = spec.build()
+        assert (params.p, params.q) == pq
+        assert state is not None
+
+    @pytest.mark.parametrize("name", ["ac", "ac_end"])
+    def test_ac_end_takes_p_and_q_else_kmn(self, name):
+        params, _, _ = spec_from_config(RunConfig(family=name, p=-2.0, q=3.0, c=0.5)).build()
+        assert (params.p, params.q) == (-2.0, 3.0)
+        params, _, _ = spec_from_config(RunConfig(family=name, m=1, n=2, c=0.5)).build()
+        assert (params.p, params.q) == (-1.0, 4.0)
+
+    @pytest.mark.parametrize("args", [["b7"], ["d7"], ["kmn"], ["nope"]], ids=["b7", "d7", "kmn", "unknown"])
+    def test_missing_input_or_unknown_family_exit_code(self, tmp_path, args):
+        assert main(["solve", "--family", *args, "--out-dir", str(tmp_path)]) == 2
 
 
 class TestSolve:
@@ -59,6 +104,17 @@ class TestSolve:
         assert manifest["config_hash"]
         assert manifest["events"][-1]["kind"] == "budget_exhausted"
         assert "wall_time_s" in manifest
+
+    def test_cone_starts_at_switch_parameter(self, tmp_path):
+        """--t-switch wins over --t0, and the first row is the cone at its own t."""
+        rc = main(
+            ["solve", "--family", "cone", "--t-switch", "2", "--t0", "1", "--t1", "6", "--out-dir", str(tmp_path)]
+        )
+        assert rc == 0
+        cols = read_csv(tmp_path / "trajectory.csv")
+        t, a = cols["t"][0], cols["a"][0]
+        assert t == 2.0
+        assert 54 * a / (math.sqrt(3) * t**3) == pytest.approx(1.0, rel=1e-14)
 
     def test_csv_17_digit_roundtrip(self, tmp_path):
         main(["solve", "--family", "cone", "--t0", "1", "--t1", "3", "--out-dir", str(tmp_path)])

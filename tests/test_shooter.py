@@ -15,6 +15,7 @@ from g2flow.shooter import (
     find_beta_ac,
     find_c_ac,
     gamma_hit_test,
+    TOL_FLOOR,
     to_aparam,
 )
 
@@ -174,5 +175,15 @@ class TestBisections:
         gamma = GammaCurve(m=1, n=2, r0=1.0)
         _, st = seed_ac_end(params, res.critical_value, 10.0)
         traj, _ = extend_ac_backward((params, st), gamma)
+        # the result carries this same run
+        assert np.array_equal(res.trajectory.ts, traj.ts) and np.array_equal(res.trajectory.zs, traj.zs)
         for s, (b, mu) in zip(traj.ts[:-1], traj.zs[:-1]):
             assert gamma.gamma2_margin(s, b) > 0
+
+    @pytest.mark.parametrize("shoot", [find_c_ac, find_beta_ac], ids=["c_ac", "beta_ac"])
+    def test_tolerance_below_floor_rejected(self, shoot):
+        """Below TOL_FLOOR the bracket cannot shrink to tol: refuse before shooting."""
+        with pytest.raises(ValueError):
+            shoot(1, 1, 1.0, tol=1e-20)
+        with pytest.raises(ValueError):
+            shoot(1, 1, 1.0, tol=0.5 * TOL_FLOOR)
