@@ -18,7 +18,7 @@ from .flow import DEGENERATION_STOPS, Budget, StopEvent, Trajectory, integrate, 
 from .invariants import FullState, eval_F, eval_lambda, hamiltonian, mean_curvature, u1_from_full
 from .params import ModelParams
 from .seeds import SeedSpec
-from .shooter import find_beta_ac, find_c_ac, forward_seed, forward_side
+from .shooter import BETA_GAP, find_beta_ac, find_c_ac, forward_seed, forward_shot
 
 CSV_HEADER = (
     "param,t,s,a,b,da,db,F,H,mean_curvature,alc_chamber,alc_strict,death_quadrant,ac_backward"
@@ -208,8 +208,8 @@ def cmd_sweep(cfg: RunConfig) -> dict:
 
 
 def cmd_find_ac(cfg: RunConfig) -> dict:
-    fwd = find_beta_ac(cfg.m, cfg.n, cfg.r0, tol=max(cfg.tol, 1e-8), rtol=cfg.rtol)
-    back = find_c_ac(cfg.m, cfg.n, cfg.r0, tol=max(cfg.tol, 1e-8), k=cfg.k, rtol=cfg.rtol)
+    fwd = find_beta_ac(cfg.m, cfg.n, cfg.r0, tol=cfg.tol, rtol=cfg.rtol)
+    back = find_c_ac(cfg.m, cfg.n, cfg.r0, tol=cfg.tol, k=cfg.k, rtol=cfg.rtol)
     beta_back = (back.closure or {}).get("beta")
     residual = None
     if beta_back is not None:
@@ -232,8 +232,12 @@ def cmd_find_ac(cfg: RunConfig) -> dict:
 
 def cmd_figure1(cfg: RunConfig) -> dict:
     m, n, r0 = cfg.m, cfg.n, cfg.r0
-    fwd = find_beta_ac(m, n, r0, tol=min(cfg.tol, 1e-4), rtol=cfg.rtol)
+    tol = min(cfg.tol, 1e-4)
+    fwd = find_beta_ac(m, n, r0, tol=tol, rtol=cfg.rtol)
     beta_ac = fwd.critical_value
+    # the beta_ac curve is AC only if the backward closure at c_ac lands on it
+    beta_back = (find_c_ac(m, n, r0, tol=tol, k=cfg.k, rtol=cfg.rtol).closure or {}).get("beta")
+    closes = beta_back is not None and abs(beta_back - beta_ac) <= max(tol, BETA_GAP) * beta_ac
     params = ModelParams.kmn(m, n, r0)
     ladder = [0.35, 0.6, 0.85, 1.0, 1.6, 3.0]
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -241,9 +245,9 @@ def cmd_figure1(cfg: RunConfig) -> dict:
     for i, frac in enumerate(ladder):
         beta = frac * beta_ac
         if frac == 1.0:
-            tag = "AC"
+            tag = "AC" if closes else "Indeterminate"
         else:
-            side = forward_side(m, n, r0, beta, rtol=cfg.rtol)
+            side, _ = forward_shot(m, n, r0, beta, rtol=cfg.rtol)
             tag = {"alc": "ALC", "incomplete": "Incomplete"}.get(side, "Indeterminate")
         seed = forward_seed(m, n, r0, beta)
         span = 12.0 * r0**3 * m * n
@@ -268,6 +272,7 @@ def cmd_figure1(cfg: RunConfig) -> dict:
         fh.write("\n".join(script) + "\n")
     report = {
         "beta_ac": beta_ac,
+        "beta_backward": beta_back,
         "bracket": list(fwd.bracket),
         "curves": curves,
         "config_hash": cfg.hash(),

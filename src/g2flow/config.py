@@ -76,7 +76,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 def _validate(cfg: RunConfig):
     if not cfg.tol >= TOL_FLOOR:
-        raise ConfigError(f"tol must be at least {TOL_FLOOR}: bisection cannot resolve a finer bracket")
+        raise ConfigError(f"tol must be at least {TOL_FLOOR}: a bracket of shots cannot shrink further")
     if cfg.rtol <= 0:
         raise ConfigError("rtol must be positive")
     if not (1.0 < cfg.k < 2.0):

@@ -48,7 +48,7 @@ class ConvergenceError(G2FlowError):
 
 
 class BracketError(G2FlowError):
-    """A bisection scan found no sign change."""
+    """Shooting found no sign change, or its bracket did not shrink to the tolerance."""
 
     def __init__(self, message, scan_table=None):
         super().__init__(message)

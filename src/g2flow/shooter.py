@@ -3,14 +3,17 @@
 Two independent schemes bracket the same solution:
 
 * backward shooting: extend AC ends backwards (a-parametrized, da = 1) until
-  they hit the gamma curve; bisect the end parameter c between gamma1 hits
-  (below) and gamma2 hits (above) to find c_ac, then read off the closure
-  data beta at the corner;
-* forward shooting: integrate singular-orbit seeds and bisect beta between
+  they hit the gamma curve; locate the end parameter c_ac between gamma1 hits
+  (below) and gamma2 hits (above), then read off the closure data beta at the
+  corner;
+* forward shooting: integrate singular-orbit seeds and locate beta_ac between
   incomplete (below) and ALC (above) outcomes.
 
-The monotone separation behind both bisections is the no-cross comparison of
-a-parametrized solutions.
+Each shot ends at a point that moves continuously through the critical value,
+so both schemes turn it into a signed miss (negative below, positive above)
+and find its sign change with Brent's method (`_root_on_miss`).  The hit
+labels stay as a check on the miss's sign.  The monotone separation behind
+both schemes is the no-cross comparison of a-parametrized solutions.
 """
 from __future__ import annotations
 
@@ -19,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from scipy.optimize import brentq
 
 from .errors import (
     BracketError,
@@ -37,8 +42,15 @@ CORNER_EPS = 1e-5
 # backward runs start from the AC series at t = 10: from much further out the
 # decaying t^-nu_inf mode falls below double-precision resolution
 AC_T_SWITCH = 10.0
-# below this relative tolerance the bisection midpoint can round onto the bracket ends
+# below this relative tolerance a bracket of shots cannot shrink to tol: its
+# ends are a few ulps apart
 TOL_FLOOR = 1e-15
+# forward beta_ac (tol 1e-9) and the backward closure beta at c_ac (tol 1e-10)
+# agree to 1e-10 for K(1,1), K(1,2) and K(2,3); this bounds their gap at any tol
+BETA_GAP = 1e-7
+# the walk that brackets a critical value doubles or halves its start at most
+# this many times
+WALK_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -95,7 +107,7 @@ class ShootResult:
                 "bracket": list(self.bracket),
                 "iterations": self.iterations,
                 "closure": self.closure,
-                "history": [[float(v), tag] for v, tag in self.history],
+                "history": [[float(v), tag, float(miss)] for v, tag, miss in self.history],
                 "meta": self.meta,
             },
             sort_keys=True,
@@ -167,6 +179,66 @@ def _check_tol(tol: float):
         raise ValueError(f"shooting tolerance {tol} is below the floor {TOL_FLOOR}")
 
 
+def _root_on_miss(shoot, start: float, tol: float, history: list) -> tuple[float, float, float, int]:
+    """Bracket and locate the sign change of a shot's signed miss.
+
+    `shoot(value)` returns `(tag, miss)`: miss < 0 below the critical value,
+    miss >= 0 above it, NaN for a shot that ends on neither side (which
+    raises `BracketError`).  Every shot is appended to `history` as
+    `(value, tag, miss)`.  The walk from `start` doubles or halves it until
+    the sign changes; Brent's method then runs in the centred coordinate
+    x = log(value / centre), where its relative term stays below 4e-16.
+    Returns the bracket `(lo, hi)`, the last shot on each side, with
+    `hi - lo <= tol * hi`, the root of the miss interpolated linearly in log
+    between them, and the number of shots after the walk.
+    """
+
+    walked = None  # the number of shots in the walk, once it is done
+
+    def sides() -> tuple[tuple[float, float], tuple[float, float]]:
+        """(value, miss) of the last shot below and of the last shot above."""
+        return (
+            next((v, miss) for v, _, miss in reversed(history) if miss < 0),
+            next((v, miss) for v, _, miss in reversed(history) if miss >= 0),
+        )
+
+    def shot(value: float) -> float:
+        tag, miss = shoot(value)
+        history.append((value, tag, miss))
+        if math.isnan(miss):
+            message = f"{tag} shot at {value!r}"
+            if walked is not None:
+                (lo, _), (hi, _) = sides()
+                gap = min(value - lo, hi - value) / value
+                message += (
+                    f", a relative {gap:.1e} inside the bracket [{lo!r}, {hi!r}]: the runs do not"
+                    " resolve the critical value this finely; shoot with a larger tol"
+                )
+            raise BracketError(message, scan_table=history)
+        return miss
+
+    below = shot(start) < 0
+    step = 2.0 if below else 0.5
+    near = start
+    for _ in range(WALK_LIMIT):
+        far = near * step
+        if (shot(far) < 0) != below:
+            break
+        near = far
+    else:
+        raise BracketError(f"no sign change of the miss within 2^{WALK_LIMIT} of {start!r}", scan_table=history)
+
+    walked = len(history)
+    centre = math.sqrt(near * far)
+    ends = {math.log(v / centre): miss for v, _, miss in history[-2:]}
+    brentq(lambda x: ends[x] if x in ends else shot(centre * math.exp(x)), *sorted(ends), xtol=0.25 * tol, disp=False)
+
+    (lo, m_lo), (hi, m_hi) = sides()
+    if not 0 < hi - lo <= tol * hi:
+        raise BracketError(f"bracket [{lo!r}, {hi!r}] did not shrink to tol = {tol}", scan_table=history)
+    return lo, hi, lo * (hi / lo) ** (m_lo / (m_lo - m_hi)), len(history) - walked
+
+
 def find_c_ac(
     m: int,
     n: int,
@@ -175,7 +247,11 @@ def find_c_ac(
     k: float = DEFAULT_K,
     rtol: float = 1e-11,
 ) -> ShootResult:
-    """Bisect the AC-end parameter c between gamma1 hits (below) and gamma2 (above)."""
+    """Locate the AC-end parameter c_ac between gamma1 hits (below) and gamma2 (above).
+
+    The miss of a gamma1 hit is -(a_hit / r0^3)^2, that of a gamma2 or corner
+    hit (b_hit - mn r0^3) / (mn r0^3); both tend to 0 at c_ac.
+    """
     _check_tol(tol)
     gamma = GammaCurve(m=m, n=n, r0=r0, k=k)
     params = ModelParams.kmn(m, n, r0)
@@ -188,41 +264,18 @@ def find_c_ac(
         _, state = seed_ac_end(params, c, AC_T_SWITCH)
         return extend_ac_backward((params, state), gamma, rtol=rtol)
 
-    def hit_of(c: float) -> str:
-        _, hit = run(c)
-        history.append((c, hit))
-        return hit
-
-    lo = hi = None  # lo: gamma1 side, hi: gamma2/corner side
-    for j in range(-10, 15):
-        c = cscale * 2.0**j
-        if hit_of(c) == "gamma1":
-            lo = c
+    def shoot(c: float) -> tuple[str, float]:
+        traj, hit = run(c)
+        kind, a_end, z = traj.terminal_event
+        if kind == "hits_gamma1":
+            miss = -((a_end / r0**3) ** 2)
         else:
-            hi = c
-            break
-    if lo is None and hi is not None:
-        # gamma2 at the smallest scanned c: extend the scan downwards
-        c = cscale * 2.0**-10
-        while c > cscale * 2.0**-44:
-            c /= 2
-            if hit_of(c) == "gamma1":
-                lo = c
-                break
-        hi = 2 * lo if lo is not None else None
-    if lo is None or hi is None:
-        raise BracketError("no gamma1/gamma2 split over the scan grid", scan_table=history)
+            miss = float(z[0] - gamma.corner_b) / gamma.corner_b
+        if (hit == "gamma1") != (miss < 0):
+            raise BracketError(f"{hit} hit with miss {miss!r} at c = {c!r}", scan_table=[*history, (c, hit, miss)])
+        return hit, miss
 
-    iterations = 0
-    while (hi - lo) > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if hit_of(mid) == "gamma1":
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-
-    c_ac = 0.5 * (lo + hi)
+    lo, hi, c_ac, iterations = _root_on_miss(shoot, cscale, tol, history)
     traj_final, hit_final = run(c_ac)
     closure = None
     try:
@@ -319,30 +372,34 @@ def forward_seed(m: int, n: int, r0: float, beta: float) -> U1State:
     return to_aparam(u1_from_full(state))
 
 
-def forward_side(m: int, n: int, r0: float, beta: float, rtol: float = 1e-11) -> str:
-    """ALC side (crosses a = b with da > db) vs incomplete side (death quadrant).
+def forward_shot(m: int, n: int, r0: float, beta: float, rtol: float = 1e-11) -> tuple[str, float]:
+    """The side a forward run from `forward_seed` ends on, and its signed miss.
 
-    The run starts from `forward_seed` and its span grows from 50 r0^3 mn
+    "alc": it crosses a = b with da > db, miss +(r0^3 / a)^4 at the crossing;
+    "incomplete": it enters the death quadrant, F vanishes or it blows up,
+    miss -(r0^3 / a)^4 there.  Both ends recede as |beta / beta_ac - 1|^(-1/4),
+    so the miss is about linear in beta through beta_ac.  "indeterminate" and
+    "seed_error" carry a NaN miss.  The run's span grows from 50 r0^3 mn
     until it reaches either side.
     """
     params = ModelParams.kmn(m, n, r0)
     try:
         seed = forward_seed(m, n, r0, beta)
     except SeedError:
-        return "seed_error"
+        return "seed_error", math.nan
     span = 50.0 * r0**3 * max(m * n, 1)
     stops = [StopEvent.make("reaches_a_equals_b"), StopEvent.make("enters_death_chamber"), *DEGENERATION_STOPS]
     for _ in range(6):
         traj = integrate(seed, seed.a, params, stops, Budget(span=span), rtol=rtol)
-        kind, _tp, z = traj.terminal_event
+        kind, a_end, z = traj.terminal_event
         if kind == "reaches_a_equals_b":
             if z[1] < 1.0:  # mu = db/da < 1 at the crossing
-                return "alc"
-            return "indeterminate"
+                return "alc", (r0**3 / a_end) ** 4
+            return "indeterminate", math.nan
         if kind in ("enters_death_chamber", "F_vanishes", "blow_up"):
-            return "incomplete"
+            return "incomplete", -((r0**3 / a_end) ** 4)
         span *= 8.0
-    return "indeterminate"
+    return "indeterminate", math.nan
 
 
 def find_beta_ac(
@@ -352,43 +409,14 @@ def find_beta_ac(
     tol: float = 1e-6,
     rtol: float = 1e-11,
 ) -> ShootResult:
-    """Forward bisection on the seed parameter beta between ALC and incomplete."""
+    """Locate the seed parameter beta_ac between incomplete (below) and ALC (above)."""
     _check_tol(tol)
     history: list = []
-
-    def side(beta: float) -> str:
-        tag = forward_side(m, n, r0, beta, rtol)
-        history.append((beta, tag))
-        return tag
-
-    lo = hi = None  # lo: incomplete (beta below), hi: alc (beta above)
-    for j in range(0, 11):
-        for candidate in ([2.0**j] if j == 0 else [2.0**j, 2.0**-j]):
-            tag = side(candidate)
-            if tag == "incomplete" and (lo is None or candidate > lo):
-                lo = candidate
-            elif tag == "alc" and (hi is None or candidate < hi):
-                hi = candidate
-        if lo is not None and hi is not None and lo < hi:
-            break
-    if lo is None or hi is None or lo >= hi:
-        raise BracketError("no incomplete/ALC split over the beta scan grid", scan_table=history)
-
-    iterations = 0
-    while (hi - lo) > tol * hi:
-        mid = 0.5 * (lo + hi)
-        tag = side(mid)
-        if tag == "incomplete":
-            lo = mid
-        elif tag == "alc":
-            hi = mid
-        else:
-            raise BracketError(
-                f"indeterminate classification at beta = {mid}", scan_table=history
-            )
-        iterations += 1
+    lo, hi, beta_ac, iterations = _root_on_miss(
+        lambda beta: forward_shot(m, n, r0, beta, rtol), 1.0, tol, history
+    )
     return ShootResult(
-        critical_value=0.5 * (lo + hi),
+        critical_value=beta_ac,
         bracket=(lo, hi),
         iterations=iterations,
         closure=None,

@@ -24,7 +24,7 @@ from .seeds import (
     cs_linearization_eigen,
     seed_kmn,
 )
-from .shooter import find_beta_ac, find_c_ac
+from .shooter import BETA_GAP, find_beta_ac, find_c_ac
 
 RNG_SEED = 20240801
 
@@ -323,6 +323,10 @@ def check_chamber_persistence(ctx) -> CheckResult:
 # -- criterion 8: critical-value cross-validation --------------------------------
 
 
+# c_ac shot to tol = 1e-10 moves by at most 1.5e-11 over k in {1.25, 1.5, 1.75}
+K_DEPENDENCE = 1e-8
+
+
 def check_critical_cross_validation(ctx) -> CheckResult:
     pairs = [(1, 1), (1, 2), (2, 3)]
     kvals = [1.25, 1.5, 1.75]
@@ -331,8 +335,8 @@ def check_critical_cross_validation(ctx) -> CheckResult:
     failures = []
     detail = {}
     for m, n in pairs:
-        fwd = find_beta_ac(m, n, 1.0, tol=2e-5)
-        c_results = {k: find_c_ac(m, n, 1.0, tol=1e-6, k=k) for k in kvals}
+        fwd = find_beta_ac(m, n, 1.0, tol=1e-9)
+        c_results = {k: find_c_ac(m, n, 1.0, tol=1e-10, k=k) for k in kvals}
         base = c_results[kvals[0]]
         beta_back = None
         if base.closure and "beta" in base.closure:
@@ -347,19 +351,19 @@ def check_critical_cross_validation(ctx) -> CheckResult:
             continue
         rel = abs(fwd.critical_value - beta_back) / fwd.critical_value
         detail[f"({m},{n})"]["cross_residual"] = rel
-        if rel > 1e-3:
+        if rel > BETA_GAP:
             failures.append(f"({m},{n}): forward/backward beta mismatch {rel:.2e}")
         for k in kvals[1:]:
             dk = abs(c_results[k].critical_value - base.critical_value) / base.critical_value
             detail[f"({m},{n})"][f"k_dev_{k}"] = dk
-            if dk > 1e-3:
+            if dk > K_DEPENDENCE:
                 failures.append(f"({m},{n}): c_ac k-dependence {dk:.2e} at k = {k}")
         ctx.alc_tails.append((m, n, fwd))
     return CheckResult(
         name="critical_cross_validation",
         passed=not failures,
         measured="; ".join(failures) if failures else "forward and backward schemes agree",
-        expected="|beta_fwd - beta_back|/beta <= 1e-3; c_ac k-independent to 1e-3",
+        expected=f"|beta_fwd - beta_back|/beta <= {BETA_GAP:g}; c_ac k-independent to {K_DEPENDENCE:g}",
         runtime=0.0,
         detail=detail,
     )

@@ -56,6 +56,21 @@ def test_criterion_09_figure1(ctx):
     _run(ctx, V.check_figure1)
 
 
+def test_criterion_09_needs_backward_closure(monkeypatch):
+    """The beta_ac curve is tagged AC only if the backward closure lands on it."""
+    from g2flow import shooter
+
+    real = shooter.closure_extract_beta
+
+    def off_by_one_percent(traj, m, n, r0):
+        beta, resid = real(traj, m, n, r0)
+        return 1.01 * beta, resid
+
+    monkeypatch.setattr(shooter, "closure_extract_beta", off_by_one_percent)
+    res = V.VerificationContext(quick=True).run(V.check_figure1)
+    assert not res.passed and "0 AC" in res.measured
+
+
 def test_criterion_10_alc_asymptotics(ctx):
     _run(ctx, V.check_alc_asymptotics)
 

@@ -194,6 +194,14 @@ class TestFindAcCmd:
         cols = read_csv(tmp_path / "critical_trajectory.csv")
         assert cols["a"][-1] < 0.01  # terminates near the corner
 
+    def test_tight_tolerance_is_kept(self, tmp_path):
+        rc = main(["find-ac", "--m", "1", "--n", "1", "--tol", "1e-10", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        report = json.loads((tmp_path / "find_ac.json").read_text())
+        assert report["beta_ac_forward"]["meta"]["tol"] == 1e-10
+        assert report["c_ac_backward"]["meta"]["tol"] == 1e-10
+        assert report["cross_validation_residual"] < 1e-7
+
 
 class TestSeedRobustness:
     def test_chamber_persistence_across_seeds(self):

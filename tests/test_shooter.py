@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from g2flow.errors import ClosureError, SeedError
+from g2flow import shooter
+from g2flow.errors import BracketError, ClosureError, SeedError
 from g2flow.flow import Budget, integrate
 from g2flow.invariants import Param, U1State, u1_from_full
 from g2flow.params import ModelParams
@@ -16,6 +17,7 @@ from g2flow.shooter import (
     find_c_ac,
     gamma_hit_test,
     TOL_FLOOR,
+    _root_on_miss,
     to_aparam,
 )
 
@@ -144,16 +146,16 @@ class TestBisections:
         res1 = find_c_ac(1, 2, 1.0, tol=1e-4)
         res2 = find_c_ac(1, 2, 1.0, tol=1e-4)
         assert res1.bracket == res2.bracket  # bit-identical reruns
-        g1 = [c for c, h in res1.history if h == "gamma1"]
-        g2 = [c for c, h in res1.history if h in ("gamma2", "corner")]
+        g1 = [c for c, h, _ in res1.history if h == "gamma1"]
+        g2 = [c for c, h, _ in res1.history if h in ("gamma2", "corner")]
         assert max(g1) < min(g2)  # hit-segment monotonicity in c
         assert res1.bracket[0] < res1.critical_value < res1.bracket[1]
 
     def test_find_beta_ac_bracket(self):
         res = find_beta_ac(1, 2, 1.0, tol=1e-3)
         assert res.bracket[0] < res.critical_value < res.bracket[1]
-        incompletes = [b for b, t in res.history if t == "incomplete"]
-        alcs = [b for b, t in res.history if t == "alc"]
+        incompletes = [b for b, t, _ in res.history if t == "incomplete"]
+        alcs = [b for b, t, _ in res.history if t == "alc"]
         assert max(incompletes) < min(alcs)
 
     def test_c_ac_scaling_equivariance(self):
@@ -187,3 +189,53 @@ class TestBisections:
             shoot(1, 1, 1.0, tol=1e-20)
         with pytest.raises(ValueError):
             shoot(1, 1, 1.0, tol=0.5 * TOL_FLOOR)
+
+
+class TestRootOnMiss:
+    def test_kinked_miss_converges_fast(self):
+        """A miss with slopes 4.8 : 1 across its root, from a factor-2 bracket."""
+        root = 3.0
+        history: list = []
+
+        def shoot(value):
+            x = math.log(value / root)
+            return ("below", 4.8 * x) if x < 0 else ("above", x)
+
+        lo, hi, est, iterations = _root_on_miss(shoot, 2.0, 1e-10, history)
+        assert len(history) <= 15
+        assert iterations == len(history) - 2  # the walk took 2.0 and 4.0
+        assert lo < root < hi and hi - lo <= 1e-10 * hi
+        assert lo <= est <= hi and est == pytest.approx(root, rel=1e-12)
+        assert [tag for _, tag, _ in history[:2]] == ["below", "above"]
+
+    def test_miss_sign_disagreeing_with_label_raises(self, monkeypatch):
+        """A gamma1 label on a run whose end gives a positive miss is refused, not used."""
+        real = shooter.extend_ac_backward
+
+        def mislabelled(seed, gamma, rtol=1e-11):
+            traj, hit = real(seed, gamma, rtol=rtol)
+            return traj, "gamma1"
+
+        monkeypatch.setattr(shooter, "extend_ac_backward", mislabelled)
+        with pytest.raises(BracketError, match="gamma1 hit with miss"):
+            find_c_ac(1, 2, 1.0, tol=1e-6)
+
+    def test_c_ac_shots(self):
+        res = find_c_ac(1, 2, 1.0, tol=1e-6)
+        assert len(res.history) <= 15  # label-only bisection took 31
+        lo, hi = res.bracket
+        assert lo < res.critical_value < hi and hi - lo <= 1e-6 * hi
+        # each miss has its label's sign
+        assert all((miss < 0) == (hit == "gamma1") for _, hit, miss in res.history)
+
+    def test_bracket_at_tolerance_floor(self):
+        res = find_c_ac(1, 1, 1.0, tol=TOL_FLOOR)
+        lo, hi = res.bracket
+        assert 0 < hi - lo <= TOL_FLOOR * hi
+        assert lo <= res.critical_value <= hi
+
+    def test_forward_resolution_limit(self):
+        """Below about 1e-11 the forward runs cannot tell the sides apart; the
+        shot that fails says so instead of returning a bracket."""
+        with pytest.raises(BracketError, match="do not resolve the critical value"):
+            find_beta_ac(1, 2, 1.0, tol=1e-13)
