@@ -1,14 +1,16 @@
 """Global fate of a trajectory via the chamber criteria.
 
-Forward completeness is governed by the sign of the mean curvature; once a
-solution enters the (cushioned, strict) ALC chamber it stays there and has an
-ALC end whose circle length is extracted by two independent estimators; entry
-into the death quadrant forces forward incompleteness.
+Forward completeness is governed by the sign of the mean curvature; entry
+into the death quadrant forces forward incompleteness.  Once a solution
+enters the (cushioned, strict) ALC chamber it stays there and has an ALC
+end: one tail leg runs from the entry to the ALC horizon (the
+``reaches_alc_horizon`` stop of ``flow``), strict membership is checked at
+every sample of it, and the circle length ell is read off the end of the leg
+by two independent estimators that must agree to ``ELL_GAP_TOL``.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +25,13 @@ from .invariants import (
 from .params import ModelParams
 from .seeds import NUINF, SeedSpec
 
-ELL_CROSS_TOL = 0.02
+# relative gap of the two ell estimators at the ALC horizon: at most 6.4e-5 on
+# criterion 6's ladders and K(m, n) at 2 beta_ac, 2.9e-4 for K(m, n) from
+# 1.001 to 64 beta_ac
+ELL_GAP_TOL = 1e-3
+# no blow_up stop: the strict chamber forces a complete ALC end, where the
+# absolute size test would trip on healthy growth (a ~ t^3/18 reaches 1e12)
+ALC_TAIL_STOPS = (StopEvent.make("F_vanishes"), StopEvent.make("reaches_alc_horizon"))
 AC_RATIO_TOL = 1e-4
 AC_EXPONENT_WINDOW = 0.5
 AC_EXACT_FLOOR = 1e-12
@@ -130,7 +138,6 @@ def chamber_membership(
 @dataclass
 class ClassifyBudget:
     t_factor: float = 3e3  # absolute t ceiling, in units of the model scale
-    max_doublings: int = 22
     max_steps: int = 400_000
 
 
@@ -149,7 +156,7 @@ def classify_trajectory(
         try:
             state0 = u1_from_full(state0)
         except DomainError:
-            return _classify_full(state0, t0, params, budget, rtol)
+            return Verdict(kind="Indeterminate", reason="no U(1) symmetry: classification out of scope")
 
     scale = max(params.scale3 ** (1.0 / 3.0), t0)
     t_max = max(200.0 * t0, budget.t_factor * scale)
@@ -161,7 +168,6 @@ def classify_trajectory(
         return Verdict(kind="Indeterminate", reason=f"inadmissible seed: {exc}")
 
     state, t_cur = state0, t0
-    traj: Trajectory | None = None
 
     # a seed on the SU(2)^3-symmetric locus stays there; long integrations
     # would only amplify roundoff along the unstable separatrix mode
@@ -227,82 +233,60 @@ def classify_trajectory(
                     diagnostics=diag,
                 )
 
-    # dwell: strict membership must persist over a span equal to the entry time
-    dwell_end = 2.0 * t_cur
-    leg, stopped = _degeneration_leg(state, t_cur, dwell_end - t_cur, params, budget, rtol, diag)
-    if stopped is not None:
-        return stopped
+    # one tail leg from the strict-chamber entry out to the ALC horizon
+    try:
+        leg = integrate(
+            state, t_cur, params, ALC_TAIL_STOPS,
+            Budget(span=50 * t_max - t_cur, max_steps=budget.max_steps), rtol=rtol,
+        )
+    except StiffnessError as exc:
+        return Verdict(kind="Indeterminate", reason=str(exc), diagnostics=diag)
+    diag["legs"] += 1
+    kind, t_end, _ = leg.terminal_event
+    if kind == "F_vanishes":
+        return Verdict(kind="Incomplete", reason=kind, event=(kind, t_end), diagnostics=diag)
+    if kind != "reaches_alc_horizon":
+        return Verdict(
+            kind="Indeterminate", reason=f"ALC horizon not reached by t = {t_end}", diagnostics=diag
+        )
     ok, bad_t = _strict_persists(leg, params)
     if not ok:
         return Verdict(
             kind="Indeterminate",
-            reason=f"alc_strict membership lost at t = {bad_t} during dwell",
+            reason=f"alc_strict membership lost at t = {bad_t} in the tail",
             diagnostics=diag,
         )
-    state = vec_to_state(leg.system, leg.ts[-1], leg.zs[-1])
-    t_cur = leg.ts[-1]
-    diag["alc_dwell_end"] = t_cur
-
-    # tail: double the horizon until both circle-length estimators agree
-    prev_ell = None
-    prev_slope = None
-    for _ in range(budget.max_doublings):
-        span = t_cur  # doubles the current horizon
-        if t_cur + span > 50 * t_max:
-            break
-        last_leg, stopped = _degeneration_leg(state, t_cur, span, params, budget, rtol, diag)
-        if stopped is not None:
-            return stopped
-        state = vec_to_state(last_leg.system, last_leg.ts[-1], last_leg.zs[-1])
-        t_cur = last_leg.ts[-1]
-        try:
-            ell, ell_alt, ell_deriv = extract_alc_ell(last_leg)
-        except ConvergenceError:
-            prev_ell = None
-            continue
-        _a, _b, _, _ = last_leg.ab_arrays()
-        slope = float(np.polyfit(np.log(last_leg.ts), np.log(_b), 1)[0])
-        cross = abs(ell - ell_alt) / abs(ell) if ell else math.inf
-        stable = prev_ell is not None and abs(ell - prev_ell) / abs(ell) < 0.01
-        if cross <= ELL_CROSS_TOL and stable:
-            ok, bad_t = _strict_persists(last_leg, params)
-            if not ok:
-                return Verdict(
-                    kind="Indeterminate",
-                    reason=f"alc_strict membership lost at t = {bad_t} in the tail",
-                    diagnostics=diag,
-                )
-            diag["ell_deriv"] = ell_deriv
-            diag["t_final"] = t_cur
-            diag["min_mean_curvature"] = _min_mean_curvature(last_leg)
-            # Richardson in 1/t kills the leading drift of the growth-exponent fit
-            diag["b_fit_exponent"] = (
-                2 * slope - prev_slope if prev_slope is not None else slope
-            )
-            diag["monitor_trace"] = monitor_trace(last_leg)
-            return Verdict(
-                kind="ALC",
-                ell=ell,
-                ell_alt=ell_alt,
-                budget_used=t_cur,
-                diagnostics=diag,
-            )
-        prev_ell = ell
-        prev_slope = slope
-    return Verdict(
-        kind="Indeterminate",
-        reason="ell estimators did not settle within budget",
-        budget_used=t_cur,
-        diagnostics=diag,
-    )
+    try:
+        ell, ell_alt, ell_deriv = extract_alc_ell(leg)
+    except ConvergenceError as exc:
+        return Verdict(kind="Indeterminate", reason=str(exc), diagnostics=diag)
+    if not abs(ell - ell_alt) <= ELL_GAP_TOL * ell:
+        return Verdict(
+            kind="Indeterminate",
+            reason=f"ell estimators disagree: {ell} against {ell_alt}",
+            diagnostics=diag,
+        )
+    diag["ell_deriv"] = ell_deriv
+    diag["t_final"] = t_end
+    diag["min_mean_curvature"] = _min_mean_curvature(leg)
+    diag["b_fit_exponent"] = _growth_exponent(leg)
+    diag["monitor_trace"] = monitor_trace(leg)
+    return Verdict(kind="ALC", ell=ell, ell_alt=ell_alt, budget_used=t_end, diagnostics=diag)
 
 
 def _verify_conical(state0, t0, params, budget, rtol, diag) -> Verdict:
     """Validate the AC criterion on a symmetric seed: |b/a - 1| pinned while t doubles."""
     # a span of 7 t0 lets t double three times, well before roundoff amplifies
-    traj, stopped = _degeneration_leg(state0, t0, 7.0 * t0, params, budget, rtol, diag)
-    if stopped is not None:
-        return stopped
+    try:
+        traj = integrate(
+            state0, t0, params, DEGENERATION_STOPS, Budget(span=7.0 * t0, max_steps=budget.max_steps), rtol=rtol
+        )
+    except StiffnessError as exc:
+        return Verdict(kind="Indeterminate", reason=str(exc), diagnostics=diag)
+    diag["legs"] += 1
+    kind, tp, _ = traj.terminal_event
+    if kind != "budget_exhausted":
+        return Verdict(kind="Incomplete", reason=kind, event=(kind, tp), diagnostics=diag)
     a, b, _, _ = traj.ab_arrays()
     rel = float(np.max(np.abs(b / a - 1.0)))
     diag["ac_mode"] = "symmetric seed"
@@ -317,22 +301,6 @@ def _verify_conical(state0, t0, params, budget, rtol, diag) -> Verdict:
         reason=f"symmetric seed lost the conical ratio: |b/a - 1| reached {rel:.2e}",
         diagnostics=diag,
     )
-
-
-def _degeneration_leg(state, t_cur, span, params, budget, rtol, diag) -> tuple:
-    """One leg over `span` that stops only at a degeneration: (leg, None) when it
-    ran to the horizon, else (None, the Incomplete or Indeterminate verdict)."""
-    try:
-        leg = integrate(
-            state, t_cur, params, DEGENERATION_STOPS, Budget(span=span, max_steps=budget.max_steps), rtol=rtol
-        )
-    except StiffnessError as exc:
-        return None, Verdict(kind="Indeterminate", reason=str(exc), diagnostics=diag)
-    diag["legs"] += 1
-    kind, tp, _ = leg.terminal_event
-    if kind != "budget_exhausted":
-        return None, Verdict(kind="Incomplete", reason=kind, event=(kind, tp), diagnostics=diag)
-    return leg, None
 
 
 def _ac_nominal_rate(params: ModelParams) -> float:
@@ -417,38 +385,47 @@ def monitor_trace(traj: Trajectory, alpha: float = 0.5, n: int = 8) -> list[dict
     return out
 
 
-def extract_alc_ell(traj: Trajectory) -> tuple[float, float, float]:
-    """Two independent ALC circle-length estimators (plus a derivative-based one).
-
-    ell       from 6 b / t^2, Richardson-extrapolated in 1/t;
-    ell_alt   from a^2/b^3 -> 2/(3 ell^3);
-    ell_deriv from 3 db/dt / t (diagnostic only).
-    """
+def _read_points(traj: Trajectory) -> tuple[tuple[float, U1State], tuple[float, U1State]]:
+    """(t, state) at T/2 and at T, the end of an arc-length run."""
     if traj.system == "u1_a":
         raise DomainError("ell extraction needs an arc-length trajectory")
     T = traj.ts[-1]
-    Th = T / 2
-    if Th < traj.ts[0]:
+    if T / 2 < traj.ts[0]:
         raise ConvergenceError("trajectory too short for Richardson extrapolation")
 
     def at(tv):
-        z = traj.interpolate(tv)
-        st = vec_to_state(traj.system, tv, z)
-        if isinstance(st, FullState):
-            st = u1_from_full(st)
-        return st
+        st = vec_to_state(traj.system, tv, traj.interpolate(tv))
+        return u1_from_full(st) if isinstance(st, FullState) else st
 
-    s1, s2 = at(Th), at(T)
-    e1, e2 = 6 * s1.b / Th**2, 6 * s2.b / T**2
-    ell = 2 * e2 - e1
+    return (T / 2, at(T / 2)), (T, at(T))
+
+
+def extract_alc_ell(traj: Trajectory) -> tuple[float, float, float]:
+    """Two independent ALC circle-length estimators (plus a derivative-based one).
+
+    Each is read at T/2 and T and Richardson-extrapolated in the order it
+    converges at (b = ell t^2/6 + c1 t + c0 + ..., a = t^3/18 + ...):
+    ell       from 6 db/t - 6 b/t^2 = ell + O(1/t^2), one step in 1/t^2;
+    ell_alt   from a^2/b^3 = 2/(3 ell^3) + O(1/t^2), one step in 1/t^2;
+    ell_deriv from 3 db/t = ell + O(1/t), one step in 1/t (diagnostic only).
+    """
+    (Th, s1), (T, s2) = _read_points(traj)
+    e1, e2 = 6 * s1.db / Th - 6 * s1.b / Th**2, 6 * s2.db / T - 6 * s2.b / T**2
+    ell = (4 * e2 - e1) / 3
     r1, r2 = s1.a**2 / s1.b**3, s2.a**2 / s2.b**3
-    r = 2 * r2 - r1
+    r = (4 * r2 - r1) / 3
     if r <= 0:
         raise ConvergenceError("a^2/b^3 extrapolated to a non-positive value")
     ell_alt = (2.0 / (3.0 * r)) ** (1.0 / 3.0)
     d1, d2 = 3 * s1.db / Th, 3 * s2.db / T
     ell_deriv = 2 * d2 - d1
     return float(ell), float(ell_alt), float(ell_deriv)
+
+
+def _growth_exponent(traj: Trajectory) -> float:
+    """The local exponent t db/b = 2 + O(1/t) of b ~ t^2, one Richardson step in 1/t."""
+    (Th, s1), (T, s2) = _read_points(traj)
+    return float(2 * T * s2.db / s2.b - Th * s1.db / s1.b)
 
 
 def _ac_or_indeterminate(traj: Trajectory, params: ModelParams, t_cur, diag) -> Verdict:
@@ -478,23 +455,3 @@ def _ac_or_indeterminate(traj: Trajectory, params: ModelParams, t_cur, diag) -> 
         budget_used=t_cur,
         diagnostics=diag,
     )
-
-
-def _classify_full(state0: FullState, t0: float, params, budget, rtol) -> Verdict:
-    """Trajectories without the U(1) symmetry are integrated but not classified."""
-    scale = max(params.scale3 ** (1.0 / 3.0), t0)
-    t_max = budget.t_factor * scale
-    try:
-        traj = integrate(
-            state0,
-            t0,
-            params,
-            DEGENERATION_STOPS,
-            Budget(span=t_max - t0, max_steps=budget.max_steps),
-            rtol=rtol,
-        )
-        kind, tp, _ = traj.terminal_event
-        reason = f"no U(1) symmetry: classification out of scope (run ended with {kind})"
-        return Verdict(kind="Indeterminate", reason=reason, budget_used=float(tp))
-    except G2FlowError as exc:
-        return Verdict(kind="Indeterminate", reason=f"no U(1) symmetry ({exc})")

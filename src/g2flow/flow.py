@@ -44,6 +44,9 @@ EVENT_PARAM_TOL = 1e-10
 F_VANISH_EPS = 1e-10
 CHAMBER_CUSHION = 1e-9
 BLOWUP_FACTOR = 1e12
+# the ALC horizon: t >= ALC_HORIZON * ell and b >= ALC_HORIZON_B * b_floor
+ALC_HORIZON = 128.0
+ALC_HORIZON_B = 512.0
 _FLOOR = 1e-300
 
 
@@ -159,6 +162,13 @@ def _ab_view(system: str, t: float, z: np.ndarray) -> tuple[float, float, float,
     return t, b, 1.0, mu
 
 
+def _on_symmetric_locus(state: FullState | U1State) -> bool:
+    """a_1 = a_2 = a_3 and da_1 = da_2 = da_3 exactly."""
+    if isinstance(state, FullState):
+        return bool(np.all(state.y == state.y[0]) and np.all(state.x == state.x[0]))
+    return state.a == state.b and state.da == state.db
+
+
 # -- stop events ---------------------------------------------------------------
 
 
@@ -168,7 +178,7 @@ class StopEvent:
 
     kind: one of F_vanishes | enters_alc_chamber | enters_death_chamber |
           hits_gamma1 | hits_gamma2 | hits_corner | blow_up |
-          budget_exhausted | reaches_a_equals_b
+          budget_exhausted | reaches_a_equals_b | reaches_alc_horizon
     data: kind-specific settings (strict, level, k, eps, ...).
     """
 
@@ -229,6 +239,17 @@ def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0) -> tuple[
             return b - a
 
         return g, -1
+
+    if event.kind == "reaches_alc_horizon":
+        # on an ALC end 6 b / t^2 -> ell, so t^3 >= 6 H b once t >= H ell: the
+        # expansion's two small parameters, ell / t and b_floor / b, are below
+        # 1 / ALC_HORIZON and 1 / ALC_HORIZON_B
+
+        def g(t, z):
+            _, b, _, _ = _ab_view(system, t, z)
+            return min(t**3 - 6 * ALC_HORIZON * b, b - ALC_HORIZON_B * bfloor)
+
+        return g, +1
 
     if event.kind == "hits_gamma1":
         level = d["level"]
@@ -398,6 +419,10 @@ def integrate(
     if not admissible:
         raise SeedError(f"seed {seed} is off the admissible locus")
     stops = stops or []
+    if _on_symmetric_locus(seed):
+        # the SU(2)^3-symmetric locus is invariant, so a run that starts on it
+        # stays on a = b, where b - a changes sign on roundoff alone
+        stops = [ev for ev in stops if ev.kind != "reaches_a_equals_b"]
     budget = budget or Budget(span=100.0 * max(1.0, abs(t_start)))
 
     fun = _VECTOR_FIELDS[system](params)

@@ -5,7 +5,7 @@ ALC verdicts of the trichotomy and shooting checks feed the asymptotics check.
 import pytest
 
 from g2flow import verification as V
-from g2flow.classify import Verdict
+from g2flow.classify import ELL_GAP_TOL, Verdict
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +81,30 @@ def test_criterion_10_requires_growth_exponent():
     ctx.alc_verdicts.append(("no-fit", Verdict(kind="ALC", ell=1.0, ell_alt=1.0)))
     res = ctx.run(V.check_alc_asymptotics)
     assert not res.passed and "no-fit" in res.measured
+
+
+@pytest.mark.parametrize(
+    "ell_alt, exponent, label",
+    [
+        (1.0 + 1.01 * ELL_GAP_TOL, 2.0, "ell estimators disagree"),
+        (1.0 - 1.01 * ELL_GAP_TOL, 2.0, "ell estimators disagree"),
+        (1.0, 2.0 + 1.01 * V.EXPONENT_WINDOW, "exponent"),
+        (1.0, 2.0 - 1.01 * V.EXPONENT_WINDOW, "exponent"),
+    ],
+)
+def test_criterion_10_bounds_can_fail(ell_alt, exponent, label):
+    """Each clause of criterion 10 fails just past its bound and passes just inside it."""
+
+    def check(ell_alt, exponent):
+        ctx = V.VerificationContext(quick=True)
+        verdict = Verdict(kind="ALC", ell=1.0, ell_alt=ell_alt, diagnostics={"b_fit_exponent": exponent})
+        ctx.alc_verdicts.append(("pushed", verdict))
+        return ctx.run(V.check_alc_asymptotics)
+
+    res = check(ell_alt, exponent)
+    assert not res.passed and label in res.measured
+    inside = check(1.0 + (ell_alt - 1.0) * 0.99 / 1.01, 2.0 + (exponent - 2.0) * 0.99 / 1.01)
+    assert inside.passed, inside.measured
 
 
 def test_criterion_11_series_residual_orders(ctx):

@@ -12,11 +12,14 @@ from g2flow.classify import (
     extract_alc_ell,
     monitor_ratios,
 )
-from g2flow.errors import DomainError, SeedError, StiffnessError
-from g2flow.flow import Budget, StopEvent, Trajectory, _margin_fn, integrate, state_to_vec, vec_to_state
+from g2flow.errors import ConvergenceError, DomainError, SeedError, StiffnessError
+from g2flow.flow import (
+    ALC_HORIZON, Budget, StopEvent, Trajectory, _margin_fn, integrate, state_to_vec, vec_to_state,
+)
 from g2flow.invariants import U1State, eval_F
 from g2flow.params import ModelParams
-from g2flow.seeds import SeedSpec, seed_ac_end, seed_cs_end, seed_delta_su2
+from g2flow.seeds import NU0, SeedSpec, seed_ac_end, seed_cs_end, seed_delta_su2
+from g2flow.verification import _b7_spec, _d7_spec
 
 RNG = np.random.default_rng(5)
 
@@ -246,6 +249,99 @@ class TestClassify:
         payload = json.loads(v.to_json())
         assert payload["kind"] == "ALC"
         assert payload["ell"] > 0
+
+
+def _wide_gap(_traj):
+    return 1.0, 1.0 + 2 * classify.ELL_GAP_TOL, 1.0
+
+
+def _no_limit(_traj):
+    raise ConvergenceError("no limit")
+
+
+def _kmn(m, n, beta_factor):
+    beta_ac = shooter.find_beta_ac(m, n, 1.0, tol=1e-6).critical_value
+    return SeedSpec(family="kmn", m=m, n=n, beta=beta_factor * beta_ac, switch_parameter=0.05)
+
+
+class TestAlcTail:
+    """One tail leg to the ALC horizon, and the checks an ALC verdict must pass."""
+
+    @pytest.mark.parametrize(
+        "make, legs",
+        [
+            (lambda: _b7_spec(0.45), 1),
+            (lambda: _d7_spec(0.7), 1),
+            (lambda: SeedSpec(family="cs_end", c=1.0, switch_parameter=0.1), 1),
+            (lambda: _kmn(1, 2, 2.0), 2),  # a first leg up to the a = b crossing
+        ],
+        ids=["B7", "D7", "CS", "K12"],
+    )
+    def test_one_tail_leg(self, make, legs):
+        v = classify_trajectory(make())
+        assert v.kind == "ALC"
+        assert v.diagnostics["legs"] == legs
+        assert abs(v.ell - v.ell_alt) <= classify.ELL_GAP_TOL * v.ell
+
+    def test_horizon_scales_with_ell(self):
+        """The CS end has b_floor = 0, so its horizon is t = ALC_HORIZON * 6 b / t^2 alone.
+
+        6 b / t^2 is ell + O(ell / t), 1.5% above ell at that horizon.
+        """
+        v = classify_trajectory(SeedSpec(family="cs_end", c=1.0, switch_parameter=0.1))
+        assert v.diagnostics["t_final"] == pytest.approx(ALC_HORIZON * v.ell, rel=0.05)
+
+    def test_membership_checked_at_every_tail_sample(self, monkeypatch):
+        """Losing alc_strict at one sample in the middle of the tail gives Indeterminate."""
+        real = classify.chamber_membership
+        dropped = []
+
+        def lossy(state, params, cushion=classify.CHAMBER_CUSHION):
+            out = real(state, params, cushion)
+            # the tail's a runs from 1 at the seed to about 1e6 at the horizon
+            if cushion == 0.0 and not dropped and 2.0 < state.a < 100.0:
+                dropped.append(state)
+                out.discard("alc_strict")
+            return out
+
+        monkeypatch.setattr(classify, "chamber_membership", lossy)
+        v = classify_trajectory(_b7_spec(0.45))
+        assert dropped
+        assert v.kind == "Indeterminate"
+        assert "alc_strict" in v.reason
+
+    def test_cs_scaling_law(self):
+        """ell c^(1/nu0) is the cone's scaling invariant: one constant for every c > 0."""
+        laws = []
+        for c in (0.25, 0.5, 1.0, 2.0, 4.0):
+            v = classify_trajectory(SeedSpec(family="cs_end", c=c, switch_parameter=0.1))
+            assert v.kind == "ALC"
+            laws.append(v.ell * c ** (1 / NU0))
+        assert max(laws) - min(laws) <= 1e-8 * laws[0]
+        assert laws[0] == pytest.approx(0.1837115778, rel=1e-5)
+
+    def test_kmn_collapse_limit(self):
+        """ell beta / r0 -> (m + n) sqrt(mn) like beta^-3; at 64 beta_ac it is 1.5e-6 from the limit."""
+        spec = _kmn(1, 2, 64.0)
+        v = classify_trajectory(spec)
+        assert v.kind == "ALC"
+        assert v.ell * spec.beta == pytest.approx(3 * math.sqrt(2), rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "extract, reason", [(_wide_gap, "disagree"), (_no_limit, "no limit")], ids=["gap", "convergence"]
+    )
+    def test_unsettled_ell_is_indeterminate(self, monkeypatch, extract, reason):
+        monkeypatch.setattr(classify, "extract_alc_ell", extract)
+        v = classify_trajectory(SeedSpec(family="cs_end", c=1.0, switch_parameter=0.1))
+        assert v.kind == "Indeterminate"
+        assert reason in v.reason
+
+    def test_unreached_horizon_is_indeterminate(self):
+        v = classify_trajectory(
+            SeedSpec(family="cs_end", c=1.0, switch_parameter=0.1), ClassifyBudget(max_steps=5)
+        )
+        assert v.kind == "Indeterminate"
+        assert "horizon" in v.reason
 
 
 class TestPersistence:

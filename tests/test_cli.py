@@ -116,6 +116,13 @@ class TestSolve:
         assert t == 2.0
         assert 54 * a / (math.sqrt(3) * t**3) == pytest.approx(1.0, rel=1e-14)
 
+    def test_exact_cone_never_crosses_a_equals_b(self, tmp_path):
+        """a = b holds identically on the cone, so b - a changing sign is roundoff, not an event."""
+        rc = main(["solve", "--family", "cone", "--t-switch", "2", "--t1", "6", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [ev["kind"] for ev in manifest["events"]] == ["budget_exhausted"]
+
     def test_csv_17_digit_roundtrip(self, tmp_path):
         main(["solve", "--family", "cone", "--t0", "1", "--t1", "3", "--out-dir", str(tmp_path)])
         with open(tmp_path / "trajectory.csv", encoding="utf-8") as fh:
