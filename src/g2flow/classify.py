@@ -149,7 +149,10 @@ def classify_trajectory(
 ) -> Verdict:
     """Integrate a seed forward and decide ALC / AC / Incomplete / Indeterminate."""
     budget = budget or ClassifyBudget()
-    params, state0, _series = seed.build()
+    try:
+        params, state0, _series = seed.build()
+    except SeedError as exc:
+        return Verdict(kind="Indeterminate", reason=f"no seed: {exc}")
     t0 = seed.t_switch
 
     if isinstance(state0, FullState):

@@ -14,6 +14,16 @@ dense interpolant, which costs three more right-hand-side evaluations, is
 built only when something reads it: the step that locates a stop event by
 root bracketing, or a later ``Trajectory.interpolate``.  The second-order
 form is exposed only as a residual oracle.
+
+A leg steps in one of two clocks.  Every leg but one steps in the parameter
+it records (t, or s = a).  A forward ``u1_arc`` leg that starts strictly
+inside the death quadrant steps in the Sundman clock sigma, with
+d/dsigma = w sqrt(F) d/dt and w = da, on the state (x1, w, a, b, t).  There
+the arc-length field's 1/sqrt(F) and 1/sqrt(x2) singularities at the F -> 0
+end are gone: the field is polynomial apart from sqrt(F), and the end is the
+regular point w = 0, where t stops advancing.  Such a leg is recorded in its
+arc-length view (t, (x1, w^2, a, b)), so it reads like any other ``u1_arc``
+trajectory; its stops and its budget are evaluated on that view.
 """
 from __future__ import annotations
 
@@ -123,6 +133,28 @@ def _vf_u1_a(params: ModelParams) -> Callable:
 
 
 _VECTOR_FIELDS = {"full": _vf_full, "u1_arc": _vf_u1_arc, "u1_a": _vf_u1_a}
+
+
+def _vf_u1_sundman(params: ModelParams) -> Callable:
+    """The arc-length field times w sqrt(F), on (x1, w, a, b, t) with w = da."""
+
+    def fun(_sigma, y):
+        x1, w, a, b, _t = y.tolist()
+        f, fa, fb = eval_F(a, b, params)
+        rootf = math.sqrt(max(f, _FLOOR))
+        return np.array([fa * w / 4, fb / 4, w * w * rootf, x1 * rootf, w * rootf])
+
+    return fun
+
+
+def _sundman_view(_sigma, y) -> tuple[float, np.ndarray]:
+    """The arc-length view (t, (x1, x2, a, b)) of a Sundman-clock state."""
+    x1, w, a, b, t = y
+    return t, np.array([x1, w * w, a, b])
+
+
+def _same_view(t, z):
+    return t, z
 
 
 # -- state <-> vector conversions --------------------------------------------
@@ -325,6 +357,56 @@ class _Step:
             self.K_extended = None
         return self._sol(t)
 
+    def points(self, k: int, t_lo: float, t_hi: float) -> list[tuple[float, np.ndarray]]:
+        """(t, z) at k evenly spaced points strictly inside [t_lo, t_hi]."""
+        ts = _interior(t_lo, t_hi, k)
+        return list(zip(ts, self(ts).T))
+
+
+def _interior(lo: float, hi: float, k: int) -> np.ndarray:
+    return lo + (hi - lo) * np.arange(1, k + 1) / (k + 1)
+
+
+class _ViewedStep:
+    """A step taken in another clock, read in the parameter of its view.
+
+    It covers the clock interval [tau_lo, tau_hi], cut at the leg's stop, over
+    which the viewed parameter rises from t_min to t_max; ``__call__(t)``
+    inverts that parameter on the step's interpolant.
+    """
+
+    __slots__ = ("step", "view", "tau_lo", "tau_hi", "t_min", "t_max")
+
+    def __init__(self, step: _Step, view: Callable, tau_hi: float, t_min: float, t_max: float):
+        self.step, self.view = step, view
+        self.tau_lo, self.tau_hi = step.t_old, tau_hi
+        self.t_min, self.t_max = t_min, t_max
+
+    def _at(self, tau: float) -> tuple[float, np.ndarray]:
+        return self.view(tau, self.step(tau))
+
+    def __call__(self, t):
+        if t <= self.t_min:
+            tau = self.tau_lo
+        elif t >= self.t_max or t >= self._at(self.tau_hi)[0]:
+            # the interpolant's parameter at tau_hi may fall short of t_max,
+            # by ulps, or by the located budget stop's tolerance
+            tau = self.tau_hi
+        else:
+            tau = brentq(
+                lambda u: self._at(u)[0] - t,
+                self.tau_lo,
+                self.tau_hi,
+                xtol=4 * np.finfo(float).eps * max(1.0, abs(self.tau_hi)),
+                rtol=4 * np.finfo(float).eps,
+            )
+        return self._at(tau)[1]
+
+    def points(self, k: int, _t_lo: float, _t_hi: float) -> list[tuple[float, np.ndarray]]:
+        """(t, z) at k points strictly inside the step, evenly spaced in its own clock."""
+        taus = _interior(self.tau_lo, self.tau_hi, k)
+        return [self.view(tau, y) for tau, y in zip(taus, self.step(taus).T)]
+
 
 @dataclass
 class Budget:
@@ -340,7 +422,8 @@ class Trajectory:
     zs: np.ndarray
     events: list = field(default_factory=list)  # (kind, param value, state vector)
     # one callable per accepted step, covering [ts[i], ts[i+1]] (the last one
-    # may reach past an event); integrate stores lazy _Step records
+    # may reach past an event); integrate stores lazy _Step records, wrapped
+    # in _ViewedStep on a Sundman-clock leg
     segments: list = field(default_factory=list)
     anchor: dict = field(default_factory=dict)
 
@@ -372,6 +455,11 @@ class Trajectory:
         if not seg.t_min <= t <= seg.t_max:
             raise ValueError(f"no step interpolant covers parameter {t}")
         return seg(t)
+
+    def step_points(self, i: int, k: int) -> list[tuple[float, np.ndarray]]:
+        """(parameter, state vector) at k points strictly inside step i, evenly
+        spaced in the clock the step was taken in."""
+        return self.segments[i].points(k, self.ts[i], self.ts[i + 1])
 
     def ab_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         out = np.array([_ab_view(self.system, t, z) for t, z in zip(self.ts, self.zs)])
@@ -408,7 +496,11 @@ def integrate(
     rtol: float = 1e-11,
     atol_scale: float = 1e-13,
 ) -> Trajectory:
-    """Integrate from the seed until the first stop event or budget exhaustion."""
+    """Integrate from the seed until the first stop event or budget exhaustion.
+
+    A forward ``u1_arc`` run from a seed strictly inside the death quadrant
+    steps in the Sundman clock (see the module docstring).
+    """
     system, z0 = state_to_vec(seed)
     try:
         admissible = seed.on_principal_locus(params) if system != "u1_a" else (
@@ -425,17 +517,37 @@ def integrate(
         stops = [ev for ev in stops if ev.kind != "reaches_a_equals_b"]
     budget = budget or Budget(span=100.0 * max(1.0, abs(t_start)))
 
-    fun = _VECTOR_FIELDS[system](params)
     t_end = t_start + direction * budget.span
-    margins = [_margin_fn(ev, system, params, z0) for ev in stops]
-
+    margins = [(*_margin_fn(ev, system, params, z0), ev.kind) for ev in stops]
     atol = atol_scale * max(1.0, float(np.max(np.abs(z0))))
-    solver = DOP853(fun, t_start, z0, t_end, rtol=rtol, atol=atol)
-    ts = [t_start]
-    zs = [z0.copy()]
+
+    sundman = (
+        direction > 0
+        and system == "u1_arc"
+        and seed.a > 0
+        and death_margin(seed.a, seed.b, seed.da, seed.db, params.b_floor, CHAMBER_CUSHION) > 0
+    )
+    if sundman:
+        # the Sundman clock: the stops read the arc-length view, and the budget
+        # and the end w = 0, where t stops advancing and db = x1 / w diverges,
+        # become located stops
+        fun, view = _vf_u1_sundman(params), _sundman_view
+        tau0, y0, tau_end = 0.0, np.array([z0[0], seed.da, z0[2], z0[3], t_start]), math.inf
+        margins = [(lambda tau, y, g=g: g(*view(tau, y)), d, kind) for g, d, kind in margins] + [
+            (lambda _tau, y: y[1], -1, "blow_up"),
+            (lambda _tau, y: t_end - y[4], -1, "budget_exhausted"),
+        ]
+    else:
+        fun, view = _VECTOR_FIELDS[system](params), _same_view
+        tau0, y0, tau_end = t_start, z0, t_end
+
+    solver = DOP853(fun, tau0, y0, tau_end, rtol=rtol, atol=atol)
+    t_first, z_first = view(tau0, y0)
+    ts = [t_first]
+    zs = [z_first.copy()]
     segments: list = []
     events: list = []
-    g_prev = [g(t_start, z0) for g, _ in margins]
+    g_prev = [g(tau0, y0) for g, _, _ in margins]
     steps = 0
 
     # trial steps may transiently probe past a coordinate singularity;
@@ -447,10 +559,12 @@ def integrate(
                 break
             solver.step()
             if solver.status == "failed":
-                # with a blow_up stop registered, step underflow is the
-                # numerical signature of the finite-time degeneration
-                blow = next((ev for ev in stops if ev.kind == "blow_up"), None)
-                if blow is not None:
+                # step underflow.  Only legs outside the Sundman clock still
+                # reach it, at the singular F -> 0 end (the u1_a runs of figure
+                # 1's Incomplete curves do); with a blow_up stop registered it
+                # stands there for that finite-time degeneration.  A Sundman
+                # leg ends at the regular point w = 0, so there it is a failure.
+                if not sundman and any(ev.kind == "blow_up" for ev in stops):
                     events.append(("blow_up", ts[-1], zs[-1].copy()))
                     break
                 raise StiffnessError(
@@ -460,15 +574,14 @@ def integrate(
                 )
             steps += 1
             sol = _Step(solver, fun)
-            segments.append(sol)
-            t_new, z_new = solver.t, solver.y.copy()
+            tau_old, tau_new, y_new = solver.t_old, solver.t, solver.y.copy()
 
             hit = None
-            for i, ((g, want_dir), ev) in enumerate(zip(margins, stops)):
-                g_new = g(t_new, z_new)
+            for i, (g, want_dir, kind) in enumerate(margins):
+                g_new = g(tau_new, y_new)
                 crossed = (g_prev[i] > 0 >= g_new) if want_dir < 0 else (g_prev[i] < 0 <= g_new)
                 if crossed and g_prev[i] != g_new:
-                    lo, hi = sorted((ts[-1], t_new))
+                    lo, hi = sorted((tau_old, tau_new))
                     if g(lo, sol(lo)) * g(hi, sol(hi)) <= 0:
                         troot = brentq(
                             lambda tt: g(tt, sol(tt)),
@@ -478,19 +591,28 @@ def integrate(
                             rtol=4 * np.finfo(float).eps,
                         )
                     else:
-                        troot = t_new
-                    if hit is None or abs(troot - ts[-1]) < abs(hit[0] - ts[-1]):
-                        hit = (troot, ev)
+                        troot = tau_new
+                    if hit is None or abs(troot - tau_old) < abs(hit[0] - tau_old):
+                        hit = (troot, kind)
                 g_prev[i] = g_new
 
+            t_new, z_new = view(tau_new, y_new)
             if hit is not None:
-                troot, ev = hit
-                z_ev = sol(troot)
-                ts.append(troot)
+                troot, kind = hit
+                t_ev, z_ev = view(troot, sol(troot))
+                if sundman:
+                    # the view's parameter, read off the interpolant, may fall a
+                    # few ulps below the step's start; past w = 0 it falls
+                    # again, so the step's end is no upper bound
+                    t_ev = t_end if kind == "budget_exhausted" else max(t_ev, ts[-1])
+                    sol = _ViewedStep(sol, view, troot, ts[-1], t_ev)
+                segments.append(sol)
+                ts.append(t_ev)
                 zs.append(z_ev)
-                events.append((ev.kind, troot, z_ev.copy()))
+                events.append((kind, t_ev, z_ev.copy()))
                 break
 
+            segments.append(_ViewedStep(sol, view, tau_new, ts[-1], t_new) if sundman else sol)
             ts.append(t_new)
             zs.append(z_new)
             if solver.status == "finished":

@@ -577,16 +577,16 @@ def _seed_by_ladder(ladder: tuple, order, t: float, params: ModelParams, solve, 
     """Series and checked state from the first order that passes.
 
     The order climbs `ladder` (or is `order` alone when given)
-    until the series tail at the switch parameter t and the Hamiltonian of
-    the emitted state pass their checks; the last SeedError is re-raised
+    until the series tail at the switch parameter t, the emitted state and
+    its Hamiltonian pass their checks; the last SeedError is re-raised
     when no order does.  `solve(order=...)` returns the series solution and
     `state_of(sol)` the state it emits.
     """
     last_exc = None
     for trial in (order,) if order is not None else ladder:
         sol = solve(order=trial)
-        state = state_of(sol)
         try:
+            state = state_of(sol)
             _check_series_tail(sol, t)
             return sol, _check_seed_state(state, params)
         except SeedError as exc:
@@ -715,6 +715,8 @@ def seed_cs_end(c, t_switch, order=None):
 
 def _cs_state(sol: SeriesSolution, t: float) -> U1State:
     X1, X2, Y1, Y2 = sol.evaluate(t)
+    if not 1 + X2 > 0:
+        raise SeedError(f"series gives 1 + X2 = {1 + X2} <= 0 at t = {t}: no real da")
     a = CONE_COEFF * t**3 * (1 + Y1)
     b = CONE_COEFF * t**3 * (1 + Y2)
     da = t**2 * math.sqrt((1 + X2) / 108.0)

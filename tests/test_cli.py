@@ -168,6 +168,14 @@ class TestClassifyCmd:
         assert verdict["kind"] == "ALC"
         assert verdict["ell"] > 0
 
+    def test_cs_switch_beyond_series_reach(self, tmp_path, capsys):
+        """At t = 1 the CS series gives 1 + X2 < 0: no seed, so Indeterminate, not a crash."""
+        rc = main(["classify", "--family", "cs", "--c", "1", "--t-switch", "1", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        verdict = json.loads((tmp_path / "verdict.json").read_text())
+        assert json.loads(capsys.readouterr().out)["kind"] == verdict["kind"] == "Indeterminate"
+        assert verdict["reason"].startswith("no seed:")
+
     def test_sweep(self, tmp_path):
         rc = main(
             [

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from g2flow.errors import SeedError
+from g2flow import flow
+from g2flow.errors import SeedError, StiffnessError
 from g2flow.flow import (
     _VECTOR_FIELDS,
+    DEGENERATION_STOPS,
     Budget,
     StopEvent,
     _vf_full,
@@ -174,18 +176,8 @@ class TestIntegrate:
 
     def test_death_seed_terminates(self):
         """A state in the death quadrant ends in F_vanishes or blow_up."""
-        params = ModelParams.cone()
-        a, b = 1.0, 1.6
-        lam = 0.5 * a / b
-        f, _, _ = eval_F(a, b, params)
-        assert f > 0
-        db = (math.sqrt(f) / (2 * lam * lam)) ** (1 / 3)
-        st = U1State(a=a, b=b, da=lam * db, db=db)
-        traj = integrate(
-            st, 1.0, params,
-            [StopEvent.make("F_vanishes"), StopEvent.make("blow_up")],
-            Budget(span=5e4),
-        )
+        params, st = _death_cone_state()
+        traj = integrate(st, 1.0, params, list(DEGENERATION_STOPS), Budget(span=5e4))
         assert traj.terminal_event[0] in ("F_vanishes", "blow_up")
 
     def test_b7_stays_on_quartic(self):
@@ -246,6 +238,96 @@ class TestIntegrate:
             z1 = tr1.interpolate(t / lam)
             assert z2[2] == pytest.approx(lam**3 * z1[2], rel=1e-8)
             assert z2[3] == pytest.approx(lam**3 * z1[3], rel=1e-8)
+
+
+def _death_cone_state():
+    """A cone state in the death quadrant: a = 1, b = 1.6, da / db = 0.5 a / b."""
+    params = ModelParams.cone()
+    a, b = 1.0, 1.6
+    lam = 0.5 * a / b
+    f, _, _ = eval_F(a, b, params)
+    assert f > 0
+    db = (math.sqrt(f) / (2 * lam * lam)) ** (1 / 3)
+    return params, U1State(a=a, b=b, da=lam * db, db=db)
+
+
+class TestSundmanLeg:
+    """Forward arc-length legs from the death quadrant step in the Sundman clock."""
+
+    # the end of the leg from t = 1 in the arc-length clock, where DOP853 takes
+    # 95 steps into the F -> 0 end and stops on a step underflow
+    ARC_CLOCK_END = 1.1647809698210547
+
+    def test_reaches_the_end_in_few_steps(self):
+        params, st = _death_cone_state()
+        traj = integrate(st, 1.0, params, list(DEGENERATION_STOPS), Budget(span=5e4), rtol=1e-11)
+        kind, t_end, z_end = traj.terminal_event
+        assert kind in ("F_vanishes", "blow_up")
+        assert t_end == traj.ts[-1] and np.array_equal(z_end, traj.zs[-1])
+        assert abs(t_end - self.ARC_CLOCK_END) <= 1e-10 * self.ARC_CLOCK_END
+        assert len(traj.segments) <= 40
+        assert traj.system == "u1_arc" and traj.zs.shape[1] == 4
+        assert np.all(np.diff(traj.ts) >= 0)
+
+    def test_ends_at_the_w_zero_point_without_a_blow_up_margin(self):
+        """With no stop registered, the leg ends where w = da reaches 0, at the same t."""
+        params, st = _death_cone_state()
+        traj = integrate(st, 1.0, params, [], Budget(span=5e4), rtol=1e-11)
+        kind, t_end, z_end = traj.terminal_event
+        assert kind == "blow_up"
+        assert abs(t_end - self.ARC_CLOCK_END) <= 1e-9 * self.ARC_CLOCK_END
+        assert z_end[1] <= 1e-12 * z_end[0] ** 2  # x2 = w^2
+
+    def test_budget_ends_at_exactly_the_span(self):
+        params, st = _death_cone_state()
+        span = 0.1
+        traj = integrate(st, 1.0, params, list(DEGENERATION_STOPS), Budget(span=span))
+        kind, t_end, _ = traj.terminal_event
+        assert kind == "budget_exhausted"
+        assert t_end == 1.0 + span == traj.ts[-1]
+        # the located stop sits within its tolerance of t_end; interpolate still covers it
+        assert np.array_equal(traj.interpolate(t_end), traj.zs[-1])
+        for t in (np.nextafter(t_end, 0.0), t_end - 1e-12, t_end - 1e-9):
+            assert np.allclose(traj.interpolate(t), traj.zs[-1], rtol=1e-7)
+
+    def test_interpolate_covers_the_leg(self):
+        params, st = _death_cone_state()
+        traj = integrate(st, 1.0, params, list(DEGENERATION_STOPS), Budget(span=5e4))
+        assert len(traj.segments) == len(traj) - 1
+        for t, z in zip(traj.ts, traj.zs):
+            assert np.array_equal(traj.interpolate(t), z)
+        inside = np.concatenate([np.linspace(traj.ts[0], traj.ts[-1], 501), (traj.ts[:-1] + traj.ts[1:]) / 2])
+        for t in inside:
+            z = traj.interpolate(t)
+            assert np.all(np.isfinite(z)) and z[1] >= 0
+        # the state read back at t lies between its neighbouring samples
+        i = len(traj) // 2
+        mid = traj.interpolate(0.5 * (traj.ts[i] + traj.ts[i + 1]))
+        assert min(traj.zs[i][3], traj.zs[i + 1][3]) <= mid[3] <= max(traj.zs[i][3], traj.zs[i + 1][3])
+
+    def test_step_points_follow_the_step_clock(self):
+        params, st = _death_cone_state()
+        traj = integrate(st, 1.0, params, list(DEGENERATION_STOPS), Budget(span=5e4))
+        for i in range(len(traj.segments)):
+            pts = traj.step_points(i, 4)
+            assert len(pts) == 4
+            ts = [t for t, _ in pts]
+            assert traj.ts[i] <= ts[0] and ts[-1] <= traj.ts[i + 1] and np.all(np.diff(ts) > 0)
+
+    def test_step_underflow_raises(self, monkeypatch):
+        """Underflow raises on a Sundman-clock leg; elsewhere a blow_up stop still takes it."""
+
+        class Underflowing(flow.DOP853):
+            def step(self):
+                super().step()
+                self.status = "failed"
+
+        monkeypatch.setattr(flow, "DOP853", Underflowing)
+        params, st = _death_cone_state()
+        with pytest.raises(StiffnessError):
+            integrate(st, 1.0, params, list(DEGENERATION_STOPS), Budget(span=5e4))
+        traj = integrate(cone_state(1.0), 1.0, params, list(DEGENERATION_STOPS), Budget(span=5e4))
+        assert traj.terminal_event[0] == "blow_up" and len(traj) == 1
 
 
 def _b7_arc_run():

@@ -211,6 +211,17 @@ class TestCsEnd:
             vals.append(54**2 * (st.da * st.b - st.a * st.db) / (3 * t**5) / t**NU0)
         assert vals[-1] == pytest.approx(1.5 * c * NU0, rel=5e-3)
 
+    def test_switch_beyond_series_reach_is_a_seed_error(self):
+        """At t = 1 the series gives 1 + X2 < 0, so no real da: every order of the ladder fails."""
+        from g2flow.seeds import _cs_state
+
+        sol, _ = seed_cs_end(1.0, 0.1)
+        assert 1 + sol.evaluate(1.0)[1] < 0
+        with pytest.raises(SeedError, match="1 \\+ X2"):
+            _cs_state(sol, 1.0)
+        with pytest.raises(SeedError):
+            seed_cs_end(1.0, 1.0)
+
 
 class TestAcEnd:
     def test_pq_zero_pure_nuinf(self):
