@@ -8,7 +8,6 @@ from .errors import (
     DomainError,
     G2FlowError,
     NonAnalyticError,
-    PositivityError,
     RegionExitError,
     ResonanceError,
     SeedError,
@@ -16,16 +15,12 @@ from .errors import (
 )
 from .invariants import (
     FullState,
-    MetricCoeffs,
     Param,
     U1State,
     eval_F,
     eval_lambda,
-    halfflat_from_metric,
     hamiltonian,
-    lagrangian_density,
     mean_curvature,
-    metric_from_halfflat,
     su2cubed_curve_residual,
     u1_from_full,
 )
@@ -33,21 +28,15 @@ from .flow import (
     Budget,
     StopEvent,
     Trajectory,
-    brandhuber_residual,
     integrate,
-    reparametrize,
-    rhs_full,
-    rhs_u1,
 )
 from .params import ModelParams
 from .classify import (
     ClassifyBudget,
-    RatioMonitors,
     Verdict,
     chamber_membership,
     classify_trajectory,
     extract_alc_ell,
-    monitor_ratios,
 )
 from .seeds import (
     NU0,
@@ -70,7 +59,6 @@ from .shooter import (
     extend_ac_backward,
     find_beta_ac,
     find_c_ac,
-    gamma_hit_test,
 )
 
 __version__ = "0.1.0"

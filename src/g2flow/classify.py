@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, G2FlowError, SeedError, StiffnessError
+from .errors import ConvergenceError, DomainError, SeedError, StiffnessError
 from .flow import (
-    CHAMBER_CUSHION, DEGENERATION_STOPS, Budget, StopEvent, Trajectory, integrate, state_to_vec, vec_to_state,
+    CHAMBER_CUSHION, DEGENERATION_STOPS, Budget, StopEvent, Trajectory, integrate, vec_to_state,
 )
 from .invariants import (
     FullState, U1State, alc_margin, alc_strict_margin, death_margin, eval_F, in_ac_backward, u1_from_full,
@@ -35,17 +35,6 @@ ALC_TAIL_STOPS = (StopEvent.make("F_vanishes"), StopEvent.make("reaches_alc_hori
 AC_RATIO_TOL = 1e-4
 AC_EXPONENT_WINDOW = 0.5
 AC_EXACT_FLOOR = 1e-12
-
-
-@dataclass
-class RatioMonitors:
-    """The comparison ratios steering the ALC-growth argument."""
-
-    alpha: float
-    P: float
-    Q: float
-    R: float
-    S: float
 
 
 @dataclass
@@ -85,22 +74,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
-
-
-def monitor_ratios(state: U1State, alpha: float, params: ModelParams) -> RatioMonitors:
-    """P, Q, R, S at the state for the given exponent alpha."""
-    if state.da <= 0 or state.db <= 0:
-        raise DomainError("monitor_ratios requires da, db > 0")
-    a, b = state.a, state.b
-    lam = state.da / state.db
-    f, fa, fb = eval_F(a, b, params)
-    return RatioMonitors(
-        alpha=alpha,
-        P=b ** (1 + alpha) / a,
-        Q=b**alpha / lam,
-        R=(1 + alpha) * a - b * lam,
-        S=alpha * (2 * f + a * fa) - (2 * b * fb - a * fa),
-    )
 
 
 def alc_strict_supported(params: ModelParams) -> bool:
@@ -204,12 +177,10 @@ def classify_trajectory(
         if kind == "enters_death_chamber":
             return _incomplete_death(state, t_cur, params, confirm_blowup, rtol, diag)
         if kind == "F_vanishes":
-            diag["monitor_trace"] = monitor_trace(traj)
             return Verdict(
                 kind="Incomplete", reason="F_vanishes", event=(kind, t_cur), diagnostics=diag
             )
         if kind == "blow_up":
-            diag["monitor_trace"] = monitor_trace(traj)
             return Verdict(kind="Incomplete", reason="blow_up", event=(kind, t_cur), diagnostics=diag)
         if kind == "budget_exhausted":
             return _ac_or_indeterminate(traj, params, t_cur, diag)
@@ -273,7 +244,6 @@ def classify_trajectory(
     diag["t_final"] = t_end
     diag["min_mean_curvature"] = _min_mean_curvature(leg)
     diag["b_fit_exponent"] = _growth_exponent(leg)
-    diag["monitor_trace"] = monitor_trace(leg)
     return Verdict(kind="ALC", ell=ell, ell_alt=ell_alt, budget_used=t_end, diagnostics=diag)
 
 
@@ -294,7 +264,6 @@ def _verify_conical(state0, t0, params, budget, rtol, diag) -> Verdict:
     rel = float(np.max(np.abs(b / a - 1.0)))
     diag["ac_mode"] = "symmetric seed"
     diag["max_ratio_dev"] = rel
-    diag["monitor_trace"] = monitor_trace(traj)
     if rel <= AC_RATIO_TOL:
         return Verdict(
             kind="AC", rate=_ac_nominal_rate(params), budget_used=float(traj.ts[-1]), diagnostics=diag
@@ -312,11 +281,6 @@ def _ac_nominal_rate(params: ModelParams) -> float:
 
 
 def _incomplete_death(state, t_cur, params, confirm_blowup, rtol, diag) -> Verdict:
-    single = Trajectory(
-        system=state_to_vec(state)[0], params=params, ts=np.array([t_cur]),
-        zs=np.array([state_to_vec(state)[1]]),
-    )
-    diag["monitor_trace"] = monitor_trace(single)
     verdict = Verdict(
         kind="Incomplete",
         reason="death_quadrant",
@@ -342,11 +306,8 @@ def _incomplete_death(state, t_cur, params, confirm_blowup, rtol, diag) -> Verdi
 
 def _strict_persists(traj: Trajectory, params: ModelParams) -> tuple[bool, float | None]:
     for i in range(len(traj)):
-        st = traj.state(i)
-        if isinstance(st, FullState):
-            st = u1_from_full(st)
         try:
-            if "alc_strict" not in chamber_membership(st, params, cushion=0.0):
+            if "alc_strict" not in chamber_membership(traj.state(i), params, cushion=0.0):
                 return False, float(traj.ts[i])
         except DomainError:
             return False, float(traj.ts[i])
@@ -363,42 +324,16 @@ def _min_mean_curvature(traj: Trajectory) -> float:
     return float(np.min(vals))
 
 
-def monitor_trace(traj: Trajectory, alpha: float = 0.5, n: int = 8) -> list[dict]:
-    """Sampled comparison-ratio and conservation monitors along a trajectory."""
-    from .invariants import hamiltonian, mean_curvature
-
-    out = []
-    idx = np.unique(np.linspace(0, len(traj) - 1, n).astype(int))
-    for i in idx:
-        st = traj.state(i)
-        if isinstance(st, FullState):
-            try:
-                st = u1_from_full(st)
-            except DomainError:
-                continue
-        row = {"param": float(traj.ts[i])}
-        try:
-            mon = monitor_ratios(st, alpha, traj.params)
-            row.update({"P": mon.P, "Q": mon.Q, "R": mon.R, "S": mon.S, "alpha": alpha})
-            row["H"] = hamiltonian(st, traj.params)
-            row["mean_curvature"] = mean_curvature(st, traj.params)
-        except (DomainError, G2FlowError):
-            continue
-        out.append(row)
-    return out
-
-
 def _read_points(traj: Trajectory) -> tuple[tuple[float, U1State], tuple[float, U1State]]:
     """(t, state) at T/2 and at T, the end of an arc-length run."""
-    if traj.system == "u1_a":
-        raise DomainError("ell extraction needs an arc-length trajectory")
+    if traj.system != "u1_arc":
+        raise DomainError(f"ell extraction needs a U(1) arc-length trajectory, not {traj.system!r}")
     T = traj.ts[-1]
     if T / 2 < traj.ts[0]:
         raise ConvergenceError("trajectory too short for Richardson extrapolation")
 
     def at(tv):
-        st = vec_to_state(traj.system, tv, traj.interpolate(tv))
-        return u1_from_full(st) if isinstance(st, FullState) else st
+        return vec_to_state(traj.system, tv, traj.interpolate(tv))
 
     return (T / 2, at(T / 2)), (T, at(T))
 

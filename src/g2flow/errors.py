@@ -9,10 +9,6 @@ class DomainError(G2FlowError):
     """A state left the admissible (stable-form / principal-orbit) locus."""
 
 
-class PositivityError(G2FlowError):
-    """A computed metric violates positive-definiteness."""
-
-
 class ConstraintError(G2FlowError):
     """Seed-family parameters violate their defining constraint."""
 

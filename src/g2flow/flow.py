@@ -12,8 +12,7 @@ Integration is scipy's explicit embedded Runge-Kutta pair DOP853, of order
 8(5,3).  Each accepted step keeps a lazy record of its stages; the step's
 dense interpolant, which costs three more right-hand-side evaluations, is
 built only when something reads it: the step that locates a stop event by
-root bracketing, or a later ``Trajectory.interpolate``.  The second-order
-form is exposed only as a residual oracle.
+root bracketing, or a later ``Trajectory.interpolate``.
 
 A leg steps in one of two clocks.  Every leg but one steps in the parameter
 it records (t, or s = a).  A forward ``u1_arc`` leg that starts strictly
@@ -63,32 +62,8 @@ _FLOOR = 1e-300
 # -- right-hand sides ---------------------------------------------------------
 
 
-def rhs_full(state: FullState, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Hamiltonian vector field: dx_i = dH/dy_i, dy_i = -dH/dx_i."""
-    if not state.on_principal_locus(params):
-        raise DomainError("state off the principal-orbit locus")
-    z = np.concatenate([state.x, state.y])
-    dz = _vf_full(params)(0.0, z)
-    return dz[:3], dz[3:]
-
-
-def rhs_u1(state: U1State, params: ModelParams) -> np.ndarray:
-    """Reduced field for (x1, x2, y1, y2) = (da*db, da^2, a, b)."""
-    x1, x2 = state.da * state.db, state.da * state.da
-    f, _, _ = eval_F(state.a, state.b, params)
-    if f <= 0 or x1 * x1 * x2 <= 0:
-        raise DomainError("F <= 0 or x1^2 x2 <= 0")
-    z = np.array([x1, x2, state.a, state.b])
-    return _vf_u1_arc(params)(0.0, z)
-
-
-def brandhuber_residual(a, b, da, db, dda, ddb, params: ModelParams) -> float:
-    """Parametrization-free residual of the second-order U(1) equation."""
-    f, fa, fb = eval_F(a, b, params)
-    return 2 * f * (da * ddb - db * dda) - da * db * (da * fa - 2 * db * fb)
-
-
 def _vf_full(params: ModelParams) -> Callable:
+    """Hamiltonian vector field on (x, y): dx_i = dH/dy_i, dy_i = -dH/dx_i."""
     p, q = params.p, params.q
 
     def fun(_t, z):
@@ -112,6 +87,8 @@ def _vf_full(params: ModelParams) -> Callable:
 
 
 def _vf_u1_arc(params: ModelParams) -> Callable:
+    """Reduced field for (x1, x2, y1, y2) = (da*db, da^2, a, b)."""
+
     def fun(_t, z):
         x1, x2, a, b = z.tolist()
         f, fa, fb = eval_F(a, b, params)
@@ -433,16 +410,13 @@ class Trajectory:
     def state(self, i: int) -> FullState | U1State:
         return vec_to_state(self.system, self.ts[i], self.zs[i])
 
-    def states(self):
-        return [self.state(i) for i in range(len(self.ts))]
-
     def interpolate(self, t: float) -> np.ndarray:
         lo, hi = (self.ts[0], self.ts[-1]) if self.ts[0] <= self.ts[-1] else (self.ts[-1], self.ts[0])
         if not (lo - 1e-12 * (1 + abs(lo)) <= t <= hi + 1e-12 * (1 + abs(hi))):
             raise ValueError(f"parameter {t} outside trajectory range [{lo}, {hi}]")
         t = min(max(t, lo), hi)
         if not self.segments:
-            # a resampled trajectory keeps no interpolants: only its samples can be read
+            # a trajectory built from samples alone: only its samples can be read
             hit = np.flatnonzero(self.ts == t)
             if hit.size == 0:
                 raise ValueError(f"parameter {t} is not a sample of a trajectory without interpolants")
@@ -628,84 +602,3 @@ def integrate(
         anchor={"t_start": t_start},
     )
 
-
-# -- reparametrization ---------------------------------------------------------
-
-
-def reparametrize(traj: Trajectory, target: Param, rtol: float = 1e-12) -> Trajectory:
-    """Resample a U(1) trajectory under a change of independent variable.
-
-    States convert pointwise (the arc-length normalization 2 da^2 db = sqrt(F)
-    is imposed exactly); the parameter map is obtained by integrating the
-    chain-rule ODE along the stored dense representation.
-    """
-    if traj.system == "full":
-        raise DomainError("reparametrize acts on U(1) trajectories")
-    if target is Param.A_EQUALS_S:
-        if traj.system == "u1_a":
-            return traj
-        a, b, da, db = traj.ab_arrays()
-        if np.any(da <= 0):
-            raise DomainError("need da > 0 to use a as the parameter")
-        zs = np.column_stack([b, db / da])
-        events = [(k, float(zv[2]), np.array([zv[3], _mu_of(zv)])) for k, _tp, zv in traj.events]
-        return Trajectory(
-            system="u1_a",
-            params=traj.params,
-            ts=a,
-            zs=zs,
-            events=events,
-            segments=[],
-            anchor={"t_start": a[0], "arc_of_start": traj.ts[0]},
-        )
-
-    # a_equals_s -> arc length; the parameter map solves dt/ds = (2 mu / sqrt(F))^(1/3)
-    if traj.system == "u1_arc":
-        return traj
-    from scipy.integrate import solve_ivp
-
-    params = traj.params
-    svals = traj.ts
-    t0 = traj.anchor.get("arc_of_start", 0.0)
-
-    def fun(s, z):
-        b, mu, _t = z
-        f, fa, fb = eval_F(s, b, params)
-        if f <= 0 or mu <= 0:
-            raise DomainError("F <= 0 en route: arc-length normalization unachievable")
-        return [mu, mu * (fa - 2 * mu * fb) / (2 * f), (2 * mu / math.sqrt(f)) ** (1.0 / 3.0)]
-
-    z0 = [traj.zs[0][0], traj.zs[0][1], t0]
-    res = solve_ivp(
-        fun,
-        (svals[0], svals[-1]),
-        z0,
-        t_eval=svals,
-        rtol=rtol,
-        atol=1e-14 * max(1.0, float(np.max(np.abs(z0)))),
-        method="DOP853",
-    )
-    if not res.success:
-        raise DomainError(f"reparametrization integration failed: {res.message}")
-    bvals, muvals, tvals = res.y
-    zs = []
-    for s, b, mu in zip(svals, bvals, muvals):
-        f = eval_F(s, b, params)[0]
-        if f <= 0 or mu <= 0:
-            raise DomainError("F <= 0 en route: arc-length normalization unachievable")
-        da = (math.sqrt(f) / (2 * mu)) ** (1.0 / 3.0)
-        zs.append([mu * da * da, da * da, s, b])
-    return Trajectory(
-        system="u1_arc",
-        params=params,
-        ts=tvals,
-        zs=np.array(zs),
-        events=[],
-        segments=[],
-        anchor={"t_start": tvals[0]},
-    )
-
-
-def _mu_of(z_arc: np.ndarray) -> float:
-    x1, x2 = z_arc[0], z_arc[1]
-    return x1 / x2 if x2 > 0 else math.inf

@@ -1,10 +1,9 @@
 """Closed-form quantities of the half-flat flow.
 
 Everything here is an exact pointwise evaluation: the stability quartic and
-its U(1) reduction F, the Hamiltonian, the induced metric and its inversion,
-mean curvature, the Lagrangian density, the SU(2)^3-symmetric solution
-curve, and the margins whose signs define the chambers and the gamma2
-stopping curve.  No integration happens in this module.
+its U(1) reduction F, the Hamiltonian, mean curvature, the SU(2)^3-symmetric
+solution curve, and the margins whose signs define the chambers and the
+gamma2 stopping curve.  No integration happens in this module.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, PositivityError
+from .errors import DomainError
 from .params import ModelParams
 
 # Absolute cushion used when deciding whether a radicand is "negative" as
@@ -81,27 +80,6 @@ def u1_from_full(state: FullState, rtol: float = 1e-8) -> U1State:
         raise DomainError("state is not U(1)-symmetric (need x1 = x2, y1 = y2)")
     da = state.da
     return U1State(a=float(y[0]), b=float(y[2]), da=float(da[0]), db=float(da[2]))
-
-
-@dataclass(frozen=True)
-class MetricCoeffs:
-    """Orbit metric g_t = A_i e_i@e_i + B_i e_i'@e_i' + C_i e_i@e_i'."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "B", np.asarray(self.B, dtype=float))
-        object.__setattr__(self, "C", np.asarray(self.C, dtype=float))
-
-    def validate(self):
-        if np.any(self.A <= 0):
-            raise PositivityError(f"metric has non-positive A block: {self.A}")
-        disc = 4 * self.A * self.B - self.C**2
-        if np.any(disc <= 0):
-            raise PositivityError(f"metric 2x2 blocks not positive definite: 4AB - C^2 = {disc}")
 
 
 # -- stability quartic -------------------------------------------------------
@@ -233,79 +211,7 @@ def mean_curvature(state: FullState | U1State, params: ModelParams) -> float:
     return float(np.dot(da, g) / (2 * (da[0] * da[1] * da[2]) ** 2))
 
 
-# -- induced metric and its inversion ----------------------------------------
-
-
-def metric_from_halfflat(state: FullState, params: ModelParams) -> MetricCoeffs:
-    """Orbit metric induced by the half-flat structure."""
-    if not state.on_principal_locus(params):
-        raise DomainError("state off the principal-orbit locus")
-    y = state.y
-    da = state.da
-    p, q = params.p, params.q
-    root = math.sqrt(-eval_lambda(y, params))
-    A = np.empty(3)
-    B = np.empty(3)
-    C = np.empty(3)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        A[i] = 2 * da[i] * (y[j] * y[k] - p * y[i]) / root
-        B[i] = 2 * da[i] * (y[j] * y[k] + q * y[i]) / root
-        C[i] = 2 * da[i] * (y[i] ** 2 - y[j] ** 2 - y[k] ** 2 - p * q) / root
-    metric = MetricCoeffs(A=A, B=B, C=C)
-    metric.validate()
-    return metric
-
-
-def halfflat_from_metric(metric: MetricCoeffs, params: ModelParams) -> FullState:
-    """Invert metric_from_halfflat.
-
-    For p + q = 0 the inversion is two-valued; we return the branch with
-    V_i = a_i - a_j - a_k + p <= 0, the one realised by all singular-orbit
-    families near their closure point.
-    """
-    metric.validate()
-    A, B, C = metric.A, metric.B, metric.C
-    p, q = params.p, params.q
-    disc = 4 * A * B - C**2
-    prod = np.empty(3)  # prod[i] = da_j * da_k
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        rad = disc[j] * disc[k]
-        if rad < 0:
-            raise DomainError("negative radicand recovering da_j da_k")
-        prod[i] = math.sqrt(rad) / 4
-    x = prod.copy()
-    if p + q != 0:
-        y = prod * (B - A) / (p + q)
-        return FullState(y=y, x=x)
-    # p + q = 0 branch: recover V_i up to sign, select V_i <= 0
-    s = A + B
-    v = np.empty(3)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        rad = (s[i] - C[i]) * (s[j] + C[j]) * (s[k] + C[k])
-        if rad < 0:
-            raise DomainError("negative radicand recovering V_i at p + q = 0")
-        v[i] = -math.sqrt(rad) / 2
-    # V = Sum a + p from -da_j da_k (A_i + B_i - C_i) = V * V_i, averaged over i
-    vtot = float(np.mean([-prod[i] * (s[i] - C[i]) / v[i] for i in range(3)]))
-    y = (vtot + v) / 2 - p
-    return FullState(y=y, x=x)
-
-
-# -- Lagrangian density and the SU(2)^3 curve --------------------------------
-
-
-def lagrangian_density(y, dy, params: ModelParams) -> float:
-    """Volume integrand (-dy1 dy2 dy3 Lambda(y))^(1/3) of the variational picture."""
-    y = np.asarray(y, dtype=float)
-    dy = np.asarray(dy, dtype=float)
-    radicand = -float(np.prod(dy)) * eval_lambda(y, params)
-    cushion = BOUNDARY_CUSHION * (1 + lambda_magnitude(y, params)) * (1 + float(np.prod(np.abs(dy))))
-    if radicand < -cushion:
-        raise DomainError(f"negative Lagrangian radicand {radicand}")
-    return max(radicand, 0.0) ** (1.0 / 3.0)
+# -- the SU(2)^3 curve ----------------------------------------------------------
 
 
 def su2cubed_curve_residual(x: float, y: float, params: ModelParams) -> float:

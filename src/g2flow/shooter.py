@@ -81,15 +81,6 @@ class GammaCurve:
         return gamma2_margin(a, b, **self.gamma2_data)
 
 
-def gamma_hit_test(state: U1State, gamma: GammaCurve):
-    """Signed distances to gamma1 and gamma2 plus the corner flag."""
-    d1 = state.b - gamma.corner_b
-    d2 = gamma.gamma2_margin(state.a, state.b)
-    scale = gamma.r0**3
-    corner = abs(d1) <= CORNER_EPS * scale and abs(state.a) <= CORNER_EPS * scale
-    return d1, d2, corner
-
-
 @dataclass
 class ShootResult:
     critical_value: float

@@ -10,7 +10,6 @@ from g2flow.classify import (
     chamber_membership,
     classify_trajectory,
     extract_alc_ell,
-    monitor_ratios,
 )
 from g2flow.errors import ConvergenceError, DomainError, SeedError, StiffnessError
 from g2flow.flow import (
@@ -134,36 +133,6 @@ class TestChambersDefinedOnce:
         assert 0 < admitted_count < len(states)
 
 
-class TestMonitorRatios:
-    def test_alpha_zero_identities(self):
-        params = ModelParams.kmn(1, 2, 1.0)
-        st = on_shell(5.0, 3.0, 1.5, params)
-        mon = monitor_ratios(st, 0.0, params)
-        lam = st.da / st.db
-        assert mon.R == pytest.approx(st.a - st.b * lam)
-        assert (mon.R < 0) == (st.a * st.db - st.da * st.b < 0)
-        # S_0 = -(2b F_b - a F_a) = -8(a-b)(a+b)(b^2+pq)
-        p, q = params.p, params.q
-        expect = -8 * (st.a - st.b) * (st.a + st.b) * (st.b**2 + p * q)
-        assert mon.S == pytest.approx(expect, rel=1e-12)
-        assert mon.S < 0  # on the ALC chamber
-
-    def test_alpha_half_late_tail_sign(self):
-        """S_1/2 ~ 7b^4 + 8(q-p) a^2 b > 0 for q >= p on a late ALC tail."""
-        params = ModelParams.kmn(1, 2, 1.0)
-        st = on_shell(4000.0, 120.0, 30.0, params)
-        mon = monitor_ratios(st, 0.5, params)
-        approx = 7 * st.b**4 + 8 * (params.q - params.p) * st.a**2 * st.b
-        assert mon.S > 0
-        assert mon.S == pytest.approx(approx, rel=0.15)
-
-    def test_positive_on_alc_chamber(self):
-        params = ModelParams.cone()
-        st = on_shell(3.0, 2.0, 1.5, params)
-        mon = monitor_ratios(st, 0.3, params)
-        assert mon.P > 0 and mon.Q > 0
-
-
 class TestExtractEll:
     def test_synthetic_alc_model(self):
         """a = t^3/18, b = ell t^2/6 reproduces ell to 1e-6 by both estimators."""
@@ -183,6 +152,14 @@ class TestExtractEll:
         assert e1 == pytest.approx(ell, abs=1e-6)
         assert e2 == pytest.approx(ell, abs=1e-6)
         assert e3 == pytest.approx(ell, abs=1e-6)
+
+    def test_refuses_trajectories_outside_the_arc_length_system(self):
+        """ell is read off (x1, x2, a, b) in arc length: a full or an a-parametrized run is refused."""
+        ts = np.array([800.0, 1600.0])
+        for system, width in (("full", 6), ("u1_a", 2)):
+            traj = Trajectory(system=system, params=ModelParams.cone(), ts=ts, zs=np.ones((2, width)))
+            with pytest.raises(DomainError, match="arc-length"):
+                extract_alc_ell(traj)
 
 
 class TestClassify:

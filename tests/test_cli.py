@@ -157,6 +157,26 @@ class TestSolve:
         kinds = {e["kind"] for e in manifest["events"]}
         assert kinds & {"enters_alc_chamber", "enters_death_chamber"}
 
+    def test_asymmetric_k11_runs_the_full_system(self, tmp_path):
+        """alpha != 0 breaks the U(1) symmetry of K(1,1), so solve runs the 6-D system."""
+        rc = main(
+            [
+                "solve", "--family", "k11", "--alpha", "0.3", "--beta", "1",
+                "--t1", "5", "--out-dir", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        cols = read_csv(tmp_path / "trajectory.csv")
+        assert len(cols["t"]) > 10
+        # no (da, db) view and no chamber flags off the U(1) locus
+        assert np.all(np.isnan(cols["da"])) and np.all(np.isnan(cols["db"]))
+        for flag in ("alc_chamber", "alc_strict", "death_quadrant", "ac_backward"):
+            assert np.all(cols[flag] == -1)
+        assert np.max(np.abs(cols["H"])) <= 1e-9
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        last = manifest["events"][-1]
+        assert last["kind"] in ("F_vanishes", "blow_up") and last["param"] < 5.0
+
 
 class TestClassifyCmd:
     def test_cs_classify(self, tmp_path):

@@ -12,14 +12,11 @@ from g2flow.flow import (
     DEGENERATION_STOPS,
     Budget,
     StopEvent,
+    Trajectory,
     _vf_full,
     _vf_u1_a,
     _vf_u1_arc,
-    brandhuber_residual,
     integrate,
-    reparametrize,
-    rhs_full,
-    rhs_u1,
     state_to_vec,
 )
 from g2flow.invariants import FullState, Param, U1State, eval_F, hamiltonian, u1_from_full
@@ -41,20 +38,32 @@ def random_full_state(params, rng, lo=0.5, hi=3.0):
         return FullState(x=x, y=y)
 
 
+def full_field(state, params):
+    """(dx, dy) of the Hamiltonian field at a full state."""
+    dz = _vf_full(params)(0.0, np.concatenate([state.x, state.y]))
+    return dz[:3], dz[3:]
+
+
+def brandhuber_residual(a, b, da, db, dda, ddb, params):
+    """Parametrization-free residual of the second-order U(1) equation."""
+    f, fa, fb = eval_F(a, b, params)
+    return 2 * f * (da * ddb - db * dda) - da * db * (da * fa - 2 * db * fb)
+
+
 class TestRhs:
     def test_cone_dy(self):
-        dx, dy = rhs_full(cone_state(1.0).to_full(), ModelParams.cone())
+        dx, dy = full_field(cone_state(1.0).to_full(), ModelParams.cone())
         assert np.allclose(dy, 1 / math.sqrt(108), rtol=1e-13)
 
     def test_gradient_oracle(self):
-        """rhs_full must equal (dH/dy, -dH/dx) by central finite differences."""
+        """The Hamiltonian field must equal (dH/dy, -dH/dx) by central finite differences."""
         h = 1e-6
         worst = 0.0
         for _ in range(1000):
             p, q = RNG.uniform(-1.5, 1.5, size=2)
             params = ModelParams.plain(p, q)
             st = random_full_state(params, RNG)
-            dx, dy = rhs_full(st, params)
+            dx, dy = full_field(st, params)
             for i in range(3):
                 hp = np.zeros(3)
                 hp[i] = h
@@ -76,26 +85,26 @@ class TestRhs:
     def test_permutation_symmetry_diagonal(self):
         params = ModelParams.cone()
         st = FullState(x=np.array([0.7, 0.7, 0.7]), y=np.array([1.1, 1.1, 1.1]))
-        dx, dy = rhs_full(st, params)
+        dx, dy = full_field(st, params)
         assert np.allclose(dx, dx[0])
         assert np.allclose(dy, dy[0])
 
     def test_permutation_equivariance(self):
         params = ModelParams.plain(0.8, -0.4)
         st = random_full_state(params, RNG)
-        dx, dy = rhs_full(st, params)
+        dx, dy = full_field(st, params)
         for perm in itertools.permutations(range(3)):
             pi = list(perm)
             st_p = FullState(x=st.x[pi], y=st.y[pi])
-            dx_p, dy_p = rhs_full(st_p, params)
+            dx_p, dy_p = full_field(st_p, params)
             assert np.allclose(dx_p, dx[pi], rtol=1e-12)
             assert np.allclose(dy_p, dy[pi], rtol=1e-12)
 
     def test_u1_restriction_of_full(self):
         params = ModelParams.plain(-1.0, 4.0)
         st = U1State(a=1.0, b=3.0, da=1.3, db=0.6)
-        vec_u1 = rhs_u1(st, params)
-        dx, dy = rhs_full(st.to_full(), params)
+        vec_u1 = _vf_u1_arc(params)(0.0, state_to_vec(st)[1])
+        dx, dy = full_field(st.to_full(), params)
         f, fa, fb = eval_F(1.0, 3.0, params)
         assert vec_u1[0] == pytest.approx(fa / (4 * math.sqrt(f)), rel=1e-13)
         assert vec_u1[1] == pytest.approx(fb / (2 * math.sqrt(f)), rel=1e-13)
@@ -135,9 +144,10 @@ class TestBrandhuber:
 
     def test_zero_when_derivatives_vanish(self):
         params = ModelParams.plain(0.3, -0.2)
+        # da = 0 leaves 2 F (da b'' - db a'') = 2 F (-0.3)
         assert brandhuber_residual(1.0, 2.0, 0.0, 1.0, 0.3, 0.4, params) == pytest.approx(
-            2 * eval_F(1.0, 2.0, params)[0] * 0.4 * 0
-        ) or True
+            -0.6 * eval_F(1.0, 2.0, params)[0], rel=1e-15
+        )
         # da = 0 and a'b'' - b'a'' = 0 gives an exactly zero residual
         assert brandhuber_residual(1.0, 2.0, 0.0, 1.0, 0.0, 0.0, params) == 0.0
 
@@ -385,55 +395,11 @@ class TestDenseOutput:
         assert np.array_equal(traj.interpolate(tp), zv)
 
     def test_resampled_trajectory_refuses_to_interpolate(self):
-        """A reparametrized trajectory keeps no interpolants: its samples read back, nothing else."""
+        """A trajectory without interpolants reads back its samples and nothing else."""
         traj = integrate(cone_state(1.0), 1.0, ModelParams.cone(), [], Budget(span=9.0), rtol=1e-12)
-        s_traj = reparametrize(traj, Param.A_EQUALS_S)
-        assert s_traj.segments == []
-        for i in (0, 1, len(s_traj) - 1):
-            assert np.array_equal(s_traj.interpolate(s_traj.ts[i]), s_traj.zs[i])
-        for s in (0.5 * (s_traj.ts[0] + s_traj.ts[1]), 0.5 * (s_traj.ts[-2] + s_traj.ts[-1])):
+        bare = Trajectory(system=traj.system, params=traj.params, ts=traj.ts, zs=traj.zs, segments=[])
+        for i in (0, 1, len(bare) - 1):
+            assert np.array_equal(bare.interpolate(bare.ts[i]), bare.zs[i])
+        for t in (0.5 * (bare.ts[0] + bare.ts[1]), 0.5 * (bare.ts[-2] + bare.ts[-1])):
             with pytest.raises(ValueError):
-                s_traj.interpolate(s)
-
-
-class TestReparametrize:
-    def test_roundtrip_cone(self):
-        traj = integrate(cone_state(1.0), 1.0, ModelParams.cone(), [], Budget(span=9.0), rtol=1e-12)
-        back = reparametrize(reparametrize(traj, Param.A_EQUALS_S), Param.ARC_LENGTH_T)
-        assert np.max(np.abs(back.ts - traj.ts) / np.maximum(1.0, traj.ts)) < 1e-9
-
-    def test_normalization_exact_at_samples(self):
-        params = ModelParams.cone()
-        traj = integrate(cone_state(1.0), 1.0, params, [], Budget(span=9.0), rtol=1e-12)
-        arc = reparametrize(reparametrize(traj, Param.A_EQUALS_S), Param.ARC_LENGTH_T)
-        for z in arc.zs:
-            x1, x2, a, b = z
-            f = eval_F(a, b, params)[0]
-            assert 2 * x1 * math.sqrt(x2) == pytest.approx(math.sqrt(f), rel=1e-9)
-
-    def test_derivative_consistency_chain_rule(self):
-        params = ModelParams.kmn(1, 2, 1.0)
-        _, st = seed_kmn(1, 2, 1.0, 4.0, t_switch=0.05)
-        traj = integrate(u1_from_full(st), 0.05, params, [], Budget(span=3.0), rtol=1e-12)
-        s_traj = reparametrize(traj, Param.A_EQUALS_S)
-        for i in range(0, len(traj), max(1, len(traj) // 10)):
-            x1, x2, a, b = traj.zs[i]
-            mu_arc = x1 / x2  # db/da = (da*db)/da^2
-            j = np.searchsorted(s_traj.ts, a)
-            j = min(max(j, 0), len(s_traj.ts) - 1)
-            if abs(s_traj.ts[j] - a) < 1e-12 * max(1.0, a):
-                assert s_traj.zs[j][1] == pytest.approx(mu_arc, rel=1e-8)
-
-    def test_kmn_seed_b_of_s_expansion(self):
-        """b(s) = mn r0^3 + sqrt(mn)(m+n)/(2 b^3 r0^3) s^2 + O(s^4) near s = 0."""
-        m, n, r0, beta = 1, 2, 1.0, 1.0
-        sol, _ = seed_kmn(m, n, r0, beta, t_switch=0.05)
-        D = math.sqrt(m * n) * (m + n) / (2 * beta**3 * r0**3)
-        errs = []
-        for t in (0.02, 0.01):
-            X1, X3, Y1, Y3 = sol.evaluate(t)
-            s = t * Y1
-            b = m * n * r0**3 + t**2 * Y3
-            errs.append(abs(b - (m * n * r0**3 + D * s * s)))
-        # O(s^4) remainder: quartic decay under halving
-        assert errs[1] <= errs[0] / 8
+                bare.interpolate(t)

@@ -5,23 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2flow.errors import DomainError, PositivityError
+from g2flow.errors import DomainError
 from g2flow.invariants import (
     FullState,
     U1State,
     eval_F,
     eval_lambda,
-    halfflat_from_metric,
     hamiltonian,
-    lagrangian_density,
     lambda_magnitude,
     mean_curvature,
-    metric_from_halfflat,
     su2cubed_curve_residual,
     u1_from_full,
 )
 from g2flow.params import ModelParams
-from g2flow.seeds import cone_state, seed_delta_su2
+from g2flow.seeds import cone_state
 
 RNG = np.random.default_rng(42)
 SQRT3 = math.sqrt(3.0)
@@ -170,95 +167,6 @@ class TestMeanCurvature:
             assert mean_curvature(st.to_full(), params) == pytest.approx(
                 mean_curvature(st, params), rel=1e-10
             )
-
-
-def random_admissible_state(params, rng):
-    for _ in range(100):
-        y = rng.uniform(0.5, 3.0, size=3)
-        if eval_lambda(y, params) >= 0:
-            continue
-        da = rng.uniform(0.3, 2.0, size=3)
-        root = math.sqrt(-eval_lambda(y, params))
-        # rescale da so that 2 da1 da2 da3 = sqrt(-Lambda)
-        factor = (root / (2 * np.prod(da))) ** (1 / 3)
-        da = da * factor
-        x = np.array([da[1] * da[2], da[2] * da[0], da[0] * da[1]])
-        return FullState(x=x, y=y)
-    raise RuntimeError("no admissible state found")
-
-
-class TestMetric:
-    def test_cone_metric_values(self):
-        metric = metric_from_halfflat(cone_full(1.0), ModelParams.cone())
-        assert np.allclose(metric.A, 1 / 9, rtol=1e-12)
-        assert np.allclose(metric.B, 1 / 9, rtol=1e-12)
-        assert np.allclose(metric.C, -1 / 9, rtol=1e-12)
-
-    def test_A_equals_B_when_q_is_minus_p(self):
-        params = ModelParams.plain(0.7, -0.7)
-        st = random_admissible_state(params, RNG)
-        metric = metric_from_halfflat(st, params)
-        assert np.allclose(metric.A, metric.B, rtol=1e-12)
-
-    def test_roundtrip_generic_pq(self):
-        params = ModelParams.kmn(1, 2, 1.0)
-        rng = np.random.default_rng(7)
-        done = 0
-        while done < 1000:
-            y = rng.uniform(1.5, 5.0, size=3)
-            if eval_lambda(y, params) >= 0:
-                continue
-            st = random_admissible_state_with_y(params, rng, y)
-            try:
-                metric = metric_from_halfflat(st, params)
-            except (DomainError, PositivityError):
-                continue
-            back = halfflat_from_metric(metric, params)
-            assert np.allclose(back.y, st.y, rtol=1e-10, atol=1e-12)
-            assert np.allclose(back.x, st.x, rtol=1e-10, atol=1e-12)
-            done += 1
-
-    def test_roundtrip_cone(self):
-        st = cone_full(1.0)
-        params = ModelParams.cone()
-        metric = metric_from_halfflat(st, params)
-        back = halfflat_from_metric(metric, params)
-        assert np.allclose(back.y, st.y, rtol=1e-10)
-        assert np.allclose(back.x, st.x, rtol=1e-10)
-
-    def test_roundtrip_p_plus_q_zero_branch(self):
-        # B7-family state near the singular orbit realizes the V_i <= 0 branch
-        _, st = seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.3)
-        params = ModelParams.delta_su2(1.0)
-        metric = metric_from_halfflat(st, params)
-        back = halfflat_from_metric(metric, params)
-        assert np.allclose(back.y, st.y, rtol=1e-9)
-        assert np.allclose(back.x, st.x, rtol=1e-9)
-
-
-def random_admissible_state_with_y(params, rng, y):
-    da = rng.uniform(0.3, 2.0, size=3)
-    root = math.sqrt(-eval_lambda(y, params))
-    factor = (root / (2 * np.prod(da))) ** (1 / 3)
-    da = da * factor
-    x = np.array([da[1] * da[2], da[2] * da[0], da[0] * da[1]])
-    return FullState(x=x, y=y)
-
-
-class TestLagrangian:
-    def test_cone_value(self):
-        C = SQRT3 / 54
-        dy = np.array([SQRT3 / 18] * 3)
-        val = lagrangian_density([C] * 3, dy, ModelParams.cone())
-        expected = ((SQRT3 / 18) ** 3 * 3 * C**4) ** (1 / 3)
-        assert val == pytest.approx(expected, rel=1e-13)
-        assert val > 0
-
-    def test_zero_factor(self):
-        assert lagrangian_density([1, 1, 1], [0.0, 1.0, 1.0], ModelParams.cone()) == 0.0
-
-    def test_lambda_zero_boundary(self):
-        assert lagrangian_density([1, 1, 1], [1, 1, 1], ModelParams.plain(1, -1)) == 0.0
 
 
 class TestBryantSalamonCurve:

@@ -177,6 +177,20 @@ class TestKmn:
         vol = 2 * math.sqrt(np.prod(st.x))
         assert abs(hamiltonian(st, params)) <= 1e-10 * (1 + vol)
 
+    def test_kmn_seed_b_of_s_expansion(self):
+        """b(s) = mn r0^3 + sqrt(mn)(m+n)/(2 b^3 r0^3) s^2 + O(s^4) near s = 0."""
+        m, n, r0, beta = 1, 2, 1.0, 1.0
+        sol, _ = seed_kmn(m, n, r0, beta, t_switch=0.05)
+        D = math.sqrt(m * n) * (m + n) / (2 * beta**3 * r0**3)
+        errs = []
+        for t in (0.02, 0.01):
+            X1, X3, Y1, Y3 = sol.evaluate(t)
+            s = t * Y1
+            b = m * n * r0**3 + t**2 * Y3
+            errs.append(abs(b - (m * n * r0**3 + D * s * s)))
+        # O(s^4) remainder: quartic decay under halving
+        assert errs[1] <= errs[0] / 8
+
 
 class TestCsEnd:
     def test_c_zero_is_cone(self):

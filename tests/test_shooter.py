@@ -5,7 +5,7 @@ import pytest
 
 from g2flow import shooter
 from g2flow.errors import BracketError, ClosureError, SeedError
-from g2flow.flow import Budget, integrate
+from g2flow.flow import Budget, StopEvent, _margin_fn, integrate
 from g2flow.invariants import Param, U1State, u1_from_full
 from g2flow.params import ModelParams
 from g2flow.seeds import NUINF, seed_ac_end, seed_kmn
@@ -15,7 +15,6 @@ from g2flow.shooter import (
     extend_ac_backward,
     find_beta_ac,
     find_c_ac,
-    gamma_hit_test,
     TOL_FLOOR,
     _root_on_miss,
     to_aparam,
@@ -25,19 +24,22 @@ from g2flow.shooter import (
 class TestGammaCurve:
     def test_corner_flags(self):
         gamma = GammaCurve(m=1, n=2, r0=1.0, k=1.5)
-        d1, d2, corner = gamma_hit_test(U1State(a=0.0, b=2.0, da=1.0, db=0.1), gamma)
-        assert d1 == 0.0 and d2 == 0.0 and corner
+        # the corner (0, mn r0^3) lies on gamma1 and on gamma2
+        assert gamma.corner_b == 2.0
+        assert gamma.gamma2_margin(0.0, gamma.corner_b) == 0.0
 
     def test_gamma1_any_a(self):
         gamma = GammaCurve(m=1, n=2, r0=1.0, k=1.5)
+        # the hits_gamma1 stop of a backward run reads b - mn r0^3, whatever a
+        stop = StopEvent.make("hits_gamma1", level=gamma.corner_b)
+        z = np.array([gamma.corner_b, 0.1])
+        g, _ = _margin_fn(stop, "u1_a", ModelParams.kmn(1, 2, 1.0), z)
         for a in (0.5, 1.0, 3.0):
-            d1, _, _ = gamma_hit_test(U1State(a=a, b=2.0, da=1.0, db=0.1), gamma)
-            assert d1 == 0.0
+            assert g(a, z) == 0.0
 
     def test_gamma2_value(self):
         gamma = GammaCurve(m=1, n=2, r0=1.0, k=1.5)
-        _, d2, _ = gamma_hit_test(U1State(a=1.0, b=3.0, da=1.0, db=0.1), gamma)
-        assert d2 == pytest.approx(1.5 - 5.0 / math.sqrt(28.0))
+        assert gamma.gamma2_margin(1.0, 3.0) == pytest.approx(1.5 - 5.0 / math.sqrt(28.0))
 
     def test_k_range_enforced(self):
         with pytest.raises(ValueError):
