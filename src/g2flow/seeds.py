@@ -3,17 +3,30 @@
 A reusable generalized-power-series engine (`solve_singular_ivp`) solves
 singular initial value problems t*dy/dt = Phi(y, t) whose solutions are
 convergent series on an exponent lattice.  Each seed family supplies Phi in
-blown-up variables in which the right-hand side is analytic:
+blown-up variables in which the right-hand side is analytic, and solves on
+the lattice its blow-up lives on:
 
-* delta_su2   -- singular S^3 with diagonal stabiliser (the B7 setup),
-* su2_factor  -- singular S^3 with factor stabiliser (the D7 setup),
-* kmn         -- singular S^2 x S^3 (the C7(m,n) setup; alpha != 0 gives the
-                 non-U(1)-symmetric K(1,1) seeds),
-* cs_end      -- conically singular end at t -> 0,
-* ac_end      -- asymptotically conical end at t -> infinity (series in 1/t,
-                 with a repaired resonance at the sixth-order coefficient),
+* delta_su2   -- singular S^3 with diagonal stabiliser (the B7 setup; t^2),
+* su2_factor  -- singular S^3 with factor stabiliser (the D7 setup; t^2),
+* kmn         -- singular S^2 x S^3 (the C7(m,n) setup; t^2; alpha != 0 gives
+                 the non-U(1)-symmetric K(1,1) seeds, whose blow-up has t^1
+                 terms, on t),
+* cs_end      -- conically singular end at t -> 0 (t^nu0),
+* ac_end      -- asymptotically conical end at t -> infinity (series in
+                 s = 1/t on (s^3, s^nu_inf), with a repaired resonance at the
+                 sixth-order coefficient),
 
-plus the exact cone.  This is the only module that knows the families:
+plus the exact cone.  A family's Phi names its monomials and shifts by their
+t-exponent (`_mono`, `_down`), so one Phi runs on any lattice that holds them.
+
+A solve evaluates Phi once for the linearization, with one probe generator
+per unknown (`_linearize`), and once per lattice index.  The CS and AC ends
+are solved once at unit free coefficient c = 1 and cached
+(`_cs_series_unit` per order, `_ac_series_unit` per (p, q, order)); a seed
+at any real c scales the coefficient at index h by c^(h_i), h_i the index
+of the free mode's generator.
+
+This is the only module that knows the families:
 `FAMILIES` maps every accepted name to its canonical family, and
 `SeedSpec.build` is the one dispatch on it.
 """
@@ -21,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -36,7 +49,6 @@ NU0 = (math.sqrt(145.0) - 7.0) / 2.0
 NUINF = (math.sqrt(145.0) + 7.0) / 2.0
 CONE_COEFF = SQRT3 / 54.0
 
-_PROBE = 1.0 / math.pi  # probe exponent for linearization extraction
 _FIXED_POINT_TOL = 1e-9
 _SHIFT_TOL = 1e-8
 
@@ -82,13 +94,11 @@ class SeriesSolution:
 
         The residual is built from products of the retained terms, so it lives
         on the sub-lattice actually excited by the solution: generator slots
-        that never appear stay silent, and an all-even single-generator series
-        skips the odd slots.
+        that never appear stay silent.
         """
         probe = self.truncation_order + 3 * max(self.lattice.generators)
         support = self.coefficients or {}
         active = [any(h[j] > 0 for h in support) for j in range(self.lattice.dim)]
-        even_only = self.lattice.dim == 1 and support and all(h[0] % 2 == 0 for h in support)
         candidates = sorted(
             (self.lattice.exponent(h), h) for h in self.lattice.indices_upto(probe)
         )
@@ -96,8 +106,6 @@ class SeriesSolution:
             if e <= self.truncation_order + 1e-9:
                 continue
             if support and any(h[j] > 0 and not active[j] for j in range(len(h))):
-                continue
-            if even_only and h[0] % 2 == 1:
                 continue
             return e
         return self.truncation_order + self.lattice.min_generator()
@@ -193,17 +201,20 @@ class SeriesSolutionBuilder:
 
 
 def _linearize(rhs, y0: np.ndarray, lattice: ExponentLattice, shift_pad: float) -> np.ndarray:
-    """d_y Phi(., 0) via a probe generator appended to the lattice."""
+    """d_y Phi(., 0) in one evaluation of Phi: forward mode with k tangents.
+
+    Unknown j carries its own probe generator, t^p_j with
+    p_j = shift_pad + 1/2 + j/(k pi), and column j is the coefficient of
+    t^p_j in Phi.  The order, p_(k-1) + shift_pad + 0.05, lies below
+    2 p_0 = 2 shift_pad + 1, so no product of two probes is kept.
+    """
     k = len(y0)
-    probe_lat = ExponentLattice(lattice.generators + (_PROBE,))
-    order = _PROBE + shift_pad + 0.05
-    unit = (0,) * lattice.dim + (1,)
-    A = np.empty((k, k))
-    for j in range(k):
-        ys = [Series.constant(probe_lat, order, y0[i]) for i in range(k)]
-        ys[j] = ys[j] + Series.monomial(probe_lat, order, unit, 1.0)
-        A[:, j] = [f.coeff(unit) for f in rhs(ys)]
-    return A
+    probes = tuple(shift_pad + 0.5 + j / (k * math.pi) for j in range(k))
+    probe_lat = ExponentLattice(lattice.generators + probes)
+    order = probes[-1] + shift_pad + 0.05
+    units = [(0,) * lattice.dim + tuple(int(i == j) for i in range(k)) for j in range(k)]
+    ys = [Series.constant(probe_lat, order, y) + Series.monomial(probe_lat, order, u) for y, u in zip(y0, units)]
+    return np.array([[f.coeff(u) for u in units] for f in rhs(ys)])
 
 
 def solve_singular_ivp(
@@ -330,16 +341,23 @@ def _newton_fixed_point(rhs, guess: np.ndarray, generators, shift_pad: float) ->
 # -- family right-hand sides ---------------------------------------------------
 
 
-def _mono(lat: ExponentLattice, order: float, power: int) -> Series:
-    h = (power,) + (0,) * (lat.dim - 1)
-    return Series.monomial(lat, order, h, 1.0)
+def _index(lat: ExponentLattice, e: float) -> tuple[int, ...]:
+    """The index of t^e on the first generator of `lat`."""
+    k = round(e / lat.generators[0])
+    if abs(k * lat.generators[0] - e) > 1e-9:
+        raise ValueError(f"t^{e} is not on the lattice {lat.generators}")
+    return (k,) + (0,) * (lat.dim - 1)
 
 
+def _mono(lat: ExponentLattice, order: float, e: float) -> Series:
+    """t^e; raises ValueError when e is not a multiple of the first generator."""
+    return Series.monomial(lat, order, _index(lat, e), 1.0)
 
-def _down(series: Series, power: int, tol: float) -> Series:
-    """shift_down by t^power with the shift index padded to the lattice dimension."""
-    h = (power,) + (0,) * (series.lattice.dim - 1)
-    return series.shift_down(h, tol)
+
+def _down(series: Series, e: float, tol: float) -> Series:
+    """Division by t^e, which must be on the series' first generator."""
+    return series.shift_down(_index(series.lattice, e), tol)
+
 
 def _phi_delta_su2(r0: float):
     """Blow-up x_i = r0^2 t^2/4 + t^4 X_i, y_i = r0^3 + r0 t^2/4 + t^4 Y_i."""
@@ -494,7 +512,7 @@ def _ac_G(ys: list[Series], phat: float, qhat: float) -> Series:
     """Scaled F: F = C^4 s^-12 G with G analytic in (Y, sigma = s^3)."""
     _, _, Y1, Y2 = ys
     lat, order = ys[0].lattice, ys[0].order
-    sigma = _mono(lat, order, 1)
+    sigma = _mono(lat, order, 3)
     oY1, oY2 = 1 + Y1, 1 + Y2
     return 4 * (oY1 * oY1) * (oY2 - phat * sigma) * (oY2 + qhat * sigma) - (
         oY2 * oY2 + phat * qhat * sigma * sigma
@@ -507,7 +525,7 @@ def _phi_ac(p: float, q: float):
     def rhs(ys: list[Series]) -> list[Series]:
         X1, X2, Y1, Y2 = ys
         lat, order = ys[0].lattice, ys[0].order
-        sigma = _mono(lat, order, 1)
+        sigma = _mono(lat, order, 3)
         oY1, oY2 = 1 + Y1, 1 + Y2
         G = _ac_G(ys, phat, qhat)
         RG = G.sqrt()
@@ -603,7 +621,7 @@ def seed_delta_su2(r0, alpha1, alpha2, alpha3, t_switch, order=None):
     y0 = np.array([2 * r0 * (al[1] + al[2]), 2 * r0 * (al[2] + al[0]), 2 * r0 * (al[0] + al[1]), *al])
     t = t_switch
     meta = {"family": "delta_su2", "r0": r0, "alphas": list(al), "t_switch": t_switch}
-    solve = partial(solve_singular_ivp, _phi_delta_su2(r0), y0, (1.0,), shift_pad=2.0, meta=meta)
+    solve = partial(solve_singular_ivp, _phi_delta_su2(r0), y0, (2.0,), shift_pad=2.0, meta=meta)
 
     def state_of(sol):
         XY = sol.evaluate(t)
@@ -632,7 +650,7 @@ def seed_su2_factor(r0, alpha1, alpha2, alpha3, t_switch, order=None):
     )
     t = t_switch
     meta = {"family": "su2_factor", "r0": r0, "alphas": list(al), "t_switch": t_switch}
-    solve = partial(solve_singular_ivp, _phi_su2_factor(r0), y0, (1.0,), meta=meta)
+    solve = partial(solve_singular_ivp, _phi_su2_factor(r0), y0, (2.0,), meta=meta)
 
     def state_of(sol):
         XY = sol.evaluate(t)
@@ -664,7 +682,7 @@ def seed_kmn(m, n, r0, beta, alpha=None, t_switch=0.1, order=None):
     )
     t = t_switch
     meta = {"family": "kmn", "m": m, "n": n, "r0": r0, "beta": beta, "t_switch": t_switch}
-    solve = partial(solve_singular_ivp, _phi_kmn(m, n, r0, beta), y0, (1.0,), meta=meta)
+    solve = partial(solve_singular_ivp, _phi_kmn(m, n, r0, beta), y0, (2.0,), meta=meta)
 
     def state_of(sol):
         X1, X3, Y1, Y3 = sol.evaluate(t)
@@ -706,11 +724,36 @@ def seed_cs_end(c, t_switch, order=None):
     """Conically singular end: series in powers of t^nu0 around the cone."""
     if t_switch <= 0:
         raise ConstraintError("cs_end requires t_switch > 0")
-    v = np.array([-(3.0 + NU0) / 6.0, (3.0 + NU0) / 3.0, 0.5, -1.0])
     meta = {"family": "cs_end", "c": c, "t_switch": t_switch}
-    solve = partial(solve_singular_ivp, _phi_cs(), np.zeros(4), (NU0,), free_modes={0: (c, v)}, meta=meta)
+
+    def solve(order):
+        return _scaled(_cs_series_unit(order), c, 0, meta)
+
     state_of = partial(_cs_state, t=t_switch)
     return _seed_by_ladder(_CS_LADDER, order, t_switch, ModelParams.cone(), solve, state_of)
+
+
+@lru_cache(maxsize=16)
+def _cs_series_unit(order: float) -> SeriesSolution:
+    """CS series at unit free coefficient; coefficients scale as c^h afterwards,
+    as the system is autonomous in t^nu0.
+
+    Shared by every CS seed of the same order: callers must not modify it.
+    """
+    v = np.array([-(3.0 + NU0) / 6.0, (3.0 + NU0) / 3.0, 0.5, -1.0])
+    return solve_singular_ivp(_phi_cs(), np.zeros(4), (NU0,), order, free_modes={0: (1.0, v)})
+
+
+def _scaled(unit: SeriesSolution, c: float, slot: int, meta: dict) -> SeriesSolution:
+    """The unit series at free coefficient c: the coefficient of h scales as c^h[slot]."""
+    coeffs = {h: vec * c ** h[slot] for h, vec in unit.coefficients.items()}
+    return replace(
+        unit,
+        base=unit.base.copy(),
+        coefficients={h: vec for h, vec in coeffs.items() if np.max(np.abs(vec)) > 0},
+        repaired=list(unit.repaired),
+        meta=meta,
+    )
 
 
 def _cs_state(sol: SeriesSolution, t: float) -> U1State:
@@ -776,19 +819,8 @@ def seed_ac_end(params: ModelParams, c, T_switch, order=None):
             raise SeedError(f"T_switch = {T_switch} too small: series ratio {rho:.2f} >= 0.7")
         h0max = 5 if rho == 0 else min(60, max(5, int(math.ceil(math.log(1e-12) / math.log(rho)))))
         order = max(_AC_MIN_ORDER, 3.0 * h0max + 0.5)
-    unit = _ac_series_unit(p, q, order)
-    coeffs = {h: np.asarray(vec) * c ** h[1] for h, vec in unit.coefficients.items()}
-    coeffs = {h: vec for h, vec in coeffs.items() if np.max(np.abs(vec)) > 0}
-    sol = SeriesSolution(
-        base=unit.base.copy(),
-        lattice=unit.lattice,
-        coefficients=coeffs,
-        truncation_order=unit.truncation_order,
-        direction="from_infinity_backward",
-        repaired=list(unit.repaired),
-        linearization=unit.linearization,
-        meta={"family": "ac_end", "p": p, "q": q, "c": c, "T_switch": T_switch},
-    )
+    meta = {"family": "ac_end", "p": p, "q": q, "c": c, "T_switch": T_switch}
+    sol = _scaled(_ac_series_unit(p, q, order), c, 1, meta)
     _check_series_tail(sol, s)
     state = _ac_state(sol, T_switch)
     return sol, _check_seed_state(state, params)

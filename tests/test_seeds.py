@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from g2flow import seeds as sd
 from g2flow.errors import ConstraintError, SeedError
 from g2flow.flow import Budget, integrate
 from g2flow.invariants import hamiltonian, su2cubed_curve_residual, u1_from_full
 from g2flow.params import ModelParams
+from g2flow.series import ExponentLattice
 from g2flow.seeds import (
     NU0,
     NUINF,
@@ -21,6 +23,12 @@ from g2flow.seeds import (
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def coefficient_at(sol, e):
+    """The coefficient vector of t^e in a series solution, whatever its lattice."""
+    (vec,) = [c for h, c in sol.coefficients.items() if sol.lattice.exponent(h) == e]
+    return vec
 
 
 class TestExponents:
@@ -74,6 +82,45 @@ class TestFamilyEigenvalues:
         assert eig == pytest.approx([-2, -2, -1, -1, -1, -1], abs=1e-8)
 
 
+class TestEvenLattice:
+    """B7, D7 and K(m,n) blow-ups are functions of t^2: their seeds are solved on the t^2 lattice."""
+
+    @pytest.mark.parametrize(
+        "seed, phi, pad",
+        [
+            (lambda: seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.1), sd._phi_delta_su2(1.0), 2.0),
+            (lambda: seed_su2_factor(1.0, 2**0.25, 2**0.25, 2**-0.5, 0.1), sd._phi_su2_factor(1.0), 0.0),
+            (lambda: seed_kmn(1, 2, 1.0, 1.0), sd._phi_kmn(1, 2, 1.0, 1.0), 0.0),
+            (lambda: seed_kmn(2, 3, 1.0, 4.4), sd._phi_kmn(2, 3, 1.0, 4.4), 0.0),
+        ],
+        ids=["b7", "d7", "kmn(1,2)", "kmn(2,3)"],
+    )
+    def test_t_lattice_solve_has_only_even_terms(self, seed, phi, pad):
+        sol, _ = seed()
+        assert sol.lattice.generators == (2.0,)
+        on_t = sd.solve_singular_ivp(phi, sol.base, (1.0,), sol.truncation_order, shift_pad=pad)
+        # a solution keeps only the coefficients that are not exactly zero
+        assert all(h[0] % 2 == 0 for h in on_t.coefficients)
+        assert len(on_t.coefficients) == len(sol.coefficients)
+        for h, vec in on_t.coefficients.items():
+            assert np.max(np.abs(coefficient_at(sol, float(h[0])) - vec)) <= 1e-14 * np.max(np.abs(vec))
+        assert np.array_equal(on_t.evaluate(0.1), sol.evaluate(0.1))
+
+    def test_monomials_off_the_lattice_raise(self):
+        lat = ExponentLattice((2.0,))
+        assert sd._mono(lat, 10.0, 4).coeff((2,)) == 1.0
+        with pytest.raises(ValueError, match="not on the lattice"):
+            sd._mono(lat, 10.0, 1)
+        x = sd._mono(lat, 10.0, 6)
+        assert sd._down(x, 2, 1e-12).coeff((2,)) == 1.0
+        with pytest.raises(ValueError, match="not on the lattice"):
+            sd._down(x, 3, 1e-12)
+        ac = ExponentLattice((3.0, NUINF))
+        assert sd._mono(ac, 15.0, 3).coeff((1, 0)) == 1.0
+        with pytest.raises(ValueError, match="not on the lattice"):
+            sd._mono(ac, 15.0, 1)
+
+
 class TestDeltaSu2:
     def test_constraint_enforced(self):
         with pytest.raises(ConstraintError):
@@ -114,7 +161,7 @@ class TestSu2Factor:
         for a3 in (1.0, 0.6, 1.4):
             a1 = 1 / math.sqrt(a3)
             sol, _ = seed_su2_factor(r0, a1, a1, a3, 0.1)
-            c2 = sol.coefficients[(2,)]
+            c2 = coefficient_at(sol, 2.0)
             assert c2[3] == pytest.approx((8 - 5 * a3**3) / (576 * a1 * r0), rel=1e-11)
             assert c2[5] == pytest.approx(-(4 - 7 * a3**3) * a3 / (576 * a1**2 * r0), rel=1e-11, abs=1e-14)
 
@@ -141,7 +188,7 @@ class TestSu2Factor:
 
     def test_alpha_equal_one_gives_1_over_192(self):
         sol, _ = seed_su2_factor(1.0, 1.0, 1.0, 1.0, 0.1)
-        assert sol.coefficients[(2,)][3] == pytest.approx(1 / 192, rel=1e-12)
+        assert coefficient_at(sol, 2.0)[3] == pytest.approx(1 / 192, rel=1e-12)
 
     def test_sign_pattern(self):
         _, st = seed_su2_factor(1.0, 2**0.5, 2**0.5, 0.5, 0.05)
@@ -164,6 +211,11 @@ class TestKmn:
         # b(t) = mn r0^3 + sqrt(mn)(m+n)|r0|/(2 beta) t^2 + O(t^4)
         sol, _ = seed_kmn(1, 2, 1.0, 1.0, t_switch=0.05)
         assert sol.base[3] == pytest.approx(math.sqrt(2) * 3 / 2, rel=1e-13)
+
+    def test_explicit_odd_order_checks_the_last_retained_term(self):
+        """At order 11 the last retained term is t^10, and at t = 0.4 it is 2e-8, over the 1e-10 bound."""
+        with pytest.raises(SeedError, match="tail estimate"):
+            seed_kmn(1, 2, 1.0, 2.5, t_switch=0.4, order=11.0)
 
     def test_k11_alpha_zero_matches_kmn(self):
         _, full0 = seed_kmn(1, 1, 1.0, 1.3, alpha=0.0, t_switch=0.05)
@@ -224,6 +276,17 @@ class TestCsEnd:
             st = _cs_state(sol, t)
             vals.append(54**2 * (st.da * st.b - st.a * st.db) / (3 * t**5) / t**NU0)
         assert vals[-1] == pytest.approx(1.5 * c * NU0, rel=5e-3)
+
+    @pytest.mark.parametrize("c", [-1.7, 0.3, 1.9])
+    def test_scaled_unit_series_matches_a_direct_solve(self, c):
+        sol, _ = seed_cs_end(c, 0.1)
+        v = np.array([-(3.0 + NU0) / 6.0, (3.0 + NU0) / 3.0, 0.5, -1.0])
+        direct = sd.solve_singular_ivp(
+            sd._phi_cs(), np.zeros(4), (NU0,), sol.truncation_order, free_modes={0: (c, v)}
+        )
+        assert sol.coefficients.keys() == direct.coefficients.keys()
+        for h, vec in direct.coefficients.items():
+            assert np.max(np.abs(sol.coefficients[h] - vec)) <= 1e-13 * np.max(np.abs(vec))
 
     def test_switch_beyond_series_reach_is_a_seed_error(self):
         """At t = 1 the series gives 1 + X2 < 0, so no real da: every order of the ladder fails."""

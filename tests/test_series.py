@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2flow import seeds as sd
 from g2flow.errors import NonAnalyticError, ResonanceError
+from g2flow.params import ModelParams
 from g2flow.seeds import NU0, NUINF, SeriesSolution, solve_singular_ivp
 from g2flow.series import ExponentLattice, Series
 
@@ -221,3 +223,60 @@ class TestEngine:
             assert np.allclose(back.coefficients[h], c)
         t = 0.07
         assert np.allclose(back.evaluate(t), sol.evaluate(t))
+
+
+def per_column_linearization(rhs, y0, lattice, shift_pad):
+    """d_y Phi(., 0) one column per evaluation: the oracle of the one-pass `_linearize`.
+
+    Column j perturbs unknown j alone along one probe generator t^(1/pi).
+    """
+    k = len(y0)
+    probe = 1.0 / math.pi
+    probe_lat = ExponentLattice(lattice.generators + (probe,))
+    order = probe + shift_pad + 0.05
+    unit = (0,) * lattice.dim + (1,)
+    A = np.empty((k, k))
+    for j in range(k):
+        ys = [Series.constant(probe_lat, order, y0[i]) for i in range(k)]
+        ys[j] = ys[j] + Series.monomial(probe_lat, order, unit, 1.0)
+        A[:, j] = [f.coeff(unit) for f in rhs(ys)]
+    return A
+
+
+def _linearization_cases():
+    """(Phi, base point, lattice, shift pad) of each seed family."""
+    b7 = sd.seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.1)[0]
+    d7 = sd.seed_su2_factor(1.0, 2**0.25, 2**0.25, 2**-0.5, 0.1)[0]
+    k12 = sd.seed_kmn(1, 2, 1.0, 1.0)[0]
+    k11 = sd.seed_kmn(1, 1, 1.0, 1.0, alpha=0.3)[0]
+    end = ModelParams.kmn(1, 2, 1.0)
+    ac = sd._ac_series_unit(end.p, end.q, 15.0)
+    return {
+        "b7": (sd._phi_delta_su2(1.0), b7.base, b7.lattice, 2.0),
+        "d7": (sd._phi_su2_factor(1.0), d7.base, d7.lattice, 0.0),
+        "kmn(1,2)": (sd._phi_kmn(1, 2, 1.0, 1.0), k12.base, k12.lattice, 0.0),
+        "k11": (sd._phi_k11(1.0, 0.3, 1.0), k11.base, k11.lattice, 2.0),
+        "cs": (sd._phi_cs(), np.zeros(4), ExponentLattice((NU0,)), 0.0),
+        "ac(1,2)": (sd._phi_ac(end.p, end.q), ac.base, ac.lattice, 0.0),
+    }
+
+
+class TestLinearization:
+    @pytest.mark.parametrize("family", ["b7", "d7", "kmn(1,2)", "k11", "cs", "ac(1,2)"])
+    def test_one_pass_equals_per_column(self, family):
+        """All k tangents in one evaluation give the per-column matrix bit for bit."""
+        rhs, y0, lattice, pad = _linearization_cases()[family]
+        one_pass = sd._linearize(rhs, y0, lattice, pad)
+        assert np.array_equal(one_pass, per_column_linearization(rhs, y0, lattice, pad))
+        assert np.max(np.abs(one_pass)) > 0
+
+    def test_one_evaluation_of_phi(self):
+        calls = []
+        phi = sd._phi_cs()
+
+        def counted(ys):
+            calls.append(len(ys))
+            return phi(ys)
+
+        sd._linearize(counted, np.zeros(4), ExponentLattice((NU0,)), 0.0)
+        assert calls == [4]
