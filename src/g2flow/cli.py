@@ -123,9 +123,10 @@ def cmd_solve(cfg: RunConfig) -> dict:
     t0 = spec.t_switch
     t1 = cfg.t1 if cfg.t1 is not None else t0 + cfg.t_factor * params.scale3 ** (1.0 / 3.0)
 
-    # chamber entries are recorded and the run continues; only genuine
-    # degenerations terminate it
-    recording = [
+    # on U(1) runs chamber entries are recorded and the run continues; only
+    # genuine degenerations terminate it.  A full-system run has no (a, b)
+    # view, so it records nothing
+    recording = [] if isinstance(state, FullState) else [
         StopEvent.make("enters_alc_chamber", strict=True),
         StopEvent.make("enters_death_chamber"),
         StopEvent.make("reaches_a_equals_b"),

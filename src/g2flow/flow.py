@@ -8,8 +8,9 @@ Three equivalent formulations are supported:
 * ``u1_a``   -- the second-order equation for b(s) with s = a, as the
                 first-order pair (b, mu = db/da).
 
-Integration is scipy's explicit embedded Runge-Kutta pair DOP853, of order
-8(5,3).  Each accepted step keeps a lazy record of its stages; the step's
+Integration is the explicit embedded Runge-Kutta pair DOP853, of order
+8(5,3), in the port of scipy's stepper in ``dop853``, which steps bit for bit
+as scipy does.  Each accepted step keeps a lazy record of its stages; the step's
 dense interpolant, which costs three more right-hand-side evaluations, is
 built only when something reads it: the step that locates a stop event by
 root bracketing, or a later ``Trajectory.interpolate``.
@@ -31,9 +32,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
+from .dop853 import DOP853, brentq, dense_output
 from .errors import DomainError, SeedError, StiffnessError
 from .invariants import (
     FullState,
@@ -202,12 +202,18 @@ class StopEvent:
 # the genuine degenerations that end a run: the form leaves the stable locus,
 # or the state blows up
 DEGENERATION_STOPS = (StopEvent.make("F_vanishes"), StopEvent.make("blow_up"))
+# the stops that compare a with b or da with db
+_U1_ONLY_STOPS = ("enters_alc_chamber", "enters_death_chamber", "reaches_a_equals_b")
 
 
 def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0) -> tuple[Callable, int]:
     """Return (g(t, z), direction): event fires when g crosses 0 in direction."""
     d = dict(event.data)
     bfloor = params.b_floor
+    if system == "full" and event.kind in _U1_ONLY_STOPS:
+        # the chambers and a = b are read off (a, b, da, db), which a 6-D state
+        # off the U(1) locus does not have
+        raise DomainError(f"{event.kind} is defined on U(1) states only, not on the full system")
 
     if event.kind == "F_vanishes":
         eps = F_VANISH_EPS
@@ -305,33 +311,26 @@ def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0) -> tuple[
 class _Step:
     """One accepted DOP853 step; its dense interpolant is built on the first call.
 
-    The record keeps what scipy's ``DOP853._dense_output_impl`` reads and runs
-    that code on itself, so the interpolant equals ``solver.dense_output()``
-    bit for bit.  Its three extra stages are evaluated with the raw vector
-    field, not the solver's counting wrapper, so ``solver.nfev`` counts step
-    attempts only.
+    The record keeps the step's stages, which the stepper hands over in an
+    array of their own.  The interpolant's three extra stages evaluate the
+    vector field directly, outside the stepper, so ``solver.nfev`` counts
+    step attempts only.
     """
 
-    __slots__ = ("fun", "t_old", "t", "h_previous", "t_min", "t_max", "y_old", "y", "f", "n", "K_extended", "_sol")
-    n_stages = DOP853.n_stages
-    A_EXTRA = DOP853.A_EXTRA
-    C_EXTRA = DOP853.C_EXTRA
-    D = DOP853.D
-    _dense_output_impl = DOP853._dense_output_impl
+    __slots__ = ("fun", "t_old", "t", "t_min", "t_max", "y_old", "y", "f", "K", "_sol")
 
-    def __init__(self, solver, fun: Callable):
-        self.fun = fun
-        self.t_old, self.t, self.h_previous = solver.t_old, solver.t, solver.h_previous
+    def __init__(self, solver: DOP853):
+        self.fun = solver.fun
+        self.t_old, self.t = solver.t_old, solver.t
         self.t_min, self.t_max = min(self.t_old, self.t), max(self.t_old, self.t)
-        self.y_old, self.y, self.f, self.n = solver.y_old, solver.y, solver.f, solver.n
-        # rows past the step's stages are overwritten when the interpolant is built
-        self.K_extended = solver.K_extended.copy()
+        self.y_old, self.y, self.f = solver.y_old, solver.y, solver.f
+        self.K = solver.K_extended
         self._sol = None
 
     def __call__(self, t):
         if self._sol is None:
-            self._sol = self._dense_output_impl()
-            self.K_extended = None
+            self._sol = dense_output(self.fun, self.K, self.t_old, self.t, self.y_old, self.y, self.f)
+            self.K = None
         return self._sol(t)
 
     def points(self, k: int, t_lo: float, t_hi: float) -> list[tuple[float, np.ndarray]]:
@@ -547,7 +546,7 @@ def integrate(
                     last_state=zs[-1],
                 )
             steps += 1
-            sol = _Step(solver, fun)
+            sol = _Step(solver)
             tau_old, tau_new, y_new = solver.t_old, solver.t, solver.y.copy()
 
             hit = None

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from scipy.optimize import brentq
-
+from .dop853 import brentq
 from .errors import (
     BracketError,
     ClosureError,

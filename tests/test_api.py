@@ -1,6 +1,9 @@
 """The public API carries no dead code: every exported name is used by the package itself."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import g2flow
@@ -32,3 +35,11 @@ def test_every_exported_name_has_a_caller_in_the_package():
     assert exported
     unused = [n for n in exported if n not in loaded]
     assert not unused, f"exported but used by no module of the package: {unused}"
+
+
+def test_importing_the_package_loads_no_scipy():
+    """scipy is a test oracle only: the package, its CLI and its checks run without it."""
+    code = "import sys, g2flow, g2flow.cli, g2flow.verification; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -176,6 +176,8 @@ class TestSolve:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         last = manifest["events"][-1]
         assert last["kind"] in ("F_vanishes", "blow_up") and last["param"] < 5.0
+        # the chamber and a = b stops read (a, b) off a U(1) view: none is recorded here
+        assert manifest["events"] == [last]
 
 
 class TestClassifyCmd:

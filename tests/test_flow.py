@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
-from g2flow import flow
-from g2flow.errors import SeedError, StiffnessError
+from g2flow import dop853, flow
+from g2flow.errors import DomainError, SeedError, StiffnessError
 from g2flow.flow import (
     _VECTOR_FIELDS,
     DEGENERATION_STOPS,
@@ -21,7 +23,8 @@ from g2flow.flow import (
 )
 from g2flow.invariants import FullState, Param, U1State, eval_F, hamiltonian, u1_from_full
 from g2flow.params import ModelParams
-from g2flow.seeds import cone_state, seed_delta_su2, seed_kmn
+from g2flow.seeds import cone_state, seed_ac_end, seed_delta_su2, seed_kmn
+from g2flow.shooter import to_aparam
 
 RNG = np.random.default_rng(11)
 SQRT3 = math.sqrt(3.0)
@@ -250,6 +253,16 @@ class TestIntegrate:
             assert z2[3] == pytest.approx(lam**3 * z1[3], rel=1e-8)
 
 
+@pytest.mark.parametrize("kind", ["enters_alc_chamber", "enters_death_chamber", "reaches_a_equals_b"])
+def test_u1_stops_refuse_the_full_system(kind):
+    """The chamber and a = b margins read (a, b, da, db), which a full state does not have."""
+    params = ModelParams.kmn(1, 1, 1.0)
+    st = random_full_state(params, np.random.default_rng(5))
+    z0 = np.concatenate([st.x, st.y])
+    with pytest.raises(DomainError):
+        flow._margin_fn(StopEvent.make(kind), "full", params, z0)
+
+
 def _death_cone_state():
     """A cone state in the death quadrant: a = 1, b = 1.6, da / db = 0.5 a / b."""
     params = ModelParams.cone()
@@ -356,13 +369,28 @@ def _b7_full_run():
     return st, 0.1, ModelParams.delta_su2(1.0), 3.0
 
 
+def _ac_backward_a_run():
+    """The backward a-parametrized leg from an AC end near c_ac(1,2) that c_ac shooting takes."""
+    params = ModelParams.kmn(1, 2, 1.0)
+    _, st = seed_ac_end(params, 991210.0, 10.0)
+    seed = to_aparam(st)
+    return seed, seed.a, params, -0.9 * seed.a
+
+
 class TestDenseOutput:
-    @pytest.mark.parametrize("run", [_b7_arc_run, _kmn_a_run, _b7_full_run], ids=["b7_u1_arc", "kmn_u1_a", "b7_full"])
+    @pytest.mark.parametrize(
+        "run",
+        [_b7_arc_run, _kmn_a_run, _b7_full_run, _ac_backward_a_run],
+        ids=["b7_u1_arc", "kmn_u1_a", "b7_full", "ac_u1_a_backward"],
+    )
     def test_matches_solve_ivp_bit_for_bit(self, run):
         """Steps and step interpolants equal scipy's own DOP853 driver exactly."""
-        seed, t0, params, span = run()
+        seed, t0, params, span = run()  # a negative span runs backwards
         rtol, atol_scale = 1e-11, 1e-13
-        traj = integrate(seed, t0, params, [], Budget(span=span), rtol=rtol, atol_scale=atol_scale)
+        traj = integrate(
+            seed, t0, params, [], Budget(span=abs(span)), direction=1 if span > 0 else -1,
+            rtol=rtol, atol_scale=atol_scale,
+        )
         system, z0 = state_to_vec(seed)
         assert traj.system == system
         res = solve_ivp(
@@ -403,3 +431,55 @@ class TestDenseOutput:
         for t in (0.5 * (bare.ts[0] + bare.ts[1]), 0.5 * (bare.ts[-2] + bare.ts[-1])):
             with pytest.raises(ValueError):
                 bare.interpolate(t)
+
+
+def _oscillator(_t, y):
+    return np.array([y[1], -y[0] - 0.1 * y[1] * abs(y[1])])
+
+
+def _riccati(t, y):
+    # y' = y^2 + t blows up in finite time, where the step underflows
+    return np.array([y[0] * y[0] + t])
+
+
+class TestDop853Port:
+    """The in-repo DOP853 steps as scipy's does, bit for bit, with scipy as the oracle."""
+
+    @pytest.mark.parametrize("name", ["C", "A", "B", "E3", "E5", "D"])
+    def test_coefficient_tables_equal_scipy(self, name):
+        assert np.array_equal(getattr(dop853, name), getattr(dop853_coefficients, name))
+
+    @pytest.mark.parametrize(
+        "fun, t0, y0, t_bound, rtol, atol",
+        [
+            (_oscillator, 0.0, [1.0, 0.0], 12.5, 1e-9, 1e-12),
+            (_oscillator, 3.0, [0.2, -1.5], -4.0, 1e-11, 1e-13),
+            (_riccati, 0.0, [0.5], 5.0, 1e-10, 1e-12),
+        ],
+        ids=["forward", "backward", "underflow"],
+    )
+    def test_steps_equal_scipy_step_by_step(self, fun, t0, y0, t_bound, rtol, atol):
+        """Every step, evaluation count, status and interpolant equals scipy.integrate.DOP853's."""
+        ours = dop853.DOP853(fun, t0, np.array(y0), t_bound, rtol=rtol, atol=atol)
+        ref = scipy.integrate.DOP853(fun, t0, np.array(y0), t_bound, rtol=rtol, atol=atol)
+        assert ours.nfev == ref.nfev == 2 and ours.h_abs == ref.h_abs
+        steps = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while ref.status == "running":
+                ref.step()
+                ours.step()
+                # scipy's dense output evaluates three extra stages through its counter
+                assert ours.status == ref.status and ours.nfev == ref.nfev - len(ours.C_EXTRA) * steps
+                steps += 1
+                assert (ours.nfev - 2) % ours.n_stages == 0
+                if ref.status == "failed":
+                    break
+                assert ours.t == ref.t and ours.t_old == ref.t_old and ours.h_previous == ref.h_previous
+                assert np.array_equal(ours.y, ref.y) and np.array_equal(ours.f, ref.f)
+                sol = dop853.dense_output(fun, ours.K_extended, ours.t_old, ours.t, ours.y_old, ours.y, ours.f)
+                ref_sol = ref.dense_output()
+                inside = ours.t_old + (ours.t - ours.t_old) * np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+                assert np.array_equal(sol(inside), ref_sol(inside))
+                assert np.array_equal(sol(inside[2]), ref_sol(inside[2]))
+        assert steps > 10
+        assert ours.status == ("failed" if fun is _riccati else "finished")

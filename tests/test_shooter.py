@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from g2flow import shooter
+from g2flow import dop853, shooter
+from g2flow.dop853 import brentq
 from g2flow.errors import BracketError, ClosureError, SeedError
 from g2flow.flow import Budget, StopEvent, _margin_fn, integrate
 from g2flow.invariants import Param, U1State, u1_from_full
@@ -241,3 +243,63 @@ class TestRootOnMiss:
         shot that fails says so instead of returning a bracket."""
         with pytest.raises(BracketError, match="do not resolve the critical value"):
             find_beta_ac(1, 2, 1.0, tol=1e-13)
+
+
+def _brent_problem(rng):
+    """A monotone function with a root r, a bracket around r and Brent's tolerances."""
+    r, p = rng.uniform(-3.0, 3.0), rng.uniform(0.5, 3.0)
+    f = [
+        lambda x: math.copysign(abs(x - r) ** p, x - r),
+        lambda x: math.tanh(p * (x - r)) + 0.01 * (x - r) ** 3,
+        lambda x: math.exp(p * (x - r)) - 1.0,
+        lambda x: p * (x - r) * (1.0 + (x - r) ** 2) ** 2,
+        lambda x: math.atan(x - r) ** 3 + 1e-3 * (x - r),
+    ][rng.integers(5)]
+    a, b = r - rng.uniform(1e-3, 4.0), r + rng.uniform(1e-3, 4.0)
+    if rng.integers(2):
+        a, b = b, a
+    # numpy tolerances, as the event location passes them
+    xtol = np.float64(10.0 ** rng.uniform(-15.0, -2.0))
+    rtol = 4 * np.finfo(float).eps * 10.0 ** rng.uniform(0.0, 6.0)
+    return f, a, b, xtol, rtol
+
+
+def _traced(solver, f, *args, **kwargs):
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    root = solver(g, *args, **kwargs)
+    return root, xs
+
+
+class TestBrentq:
+    """The port of Brent's method equals scipy.optimize.brentq bit for bit."""
+
+    def test_roots_and_evaluation_points_equal_scipy(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(600):
+            f, a, b, xtol, rtol = _brent_problem(rng)
+            # disp=False: a run out of iterations returns its last point, compared too
+            root, xs = _traced(brentq, f, a, b, xtol=xtol, rtol=rtol, disp=False)
+            ref_root, ref_xs = _traced(scipy.optimize.brentq, f, a, b, xtol=xtol, rtol=rtol, disp=False)
+            assert type(root) is type(ref_root) is float
+            assert root == ref_root and xs == ref_xs
+
+    def test_same_sign_ends_raise(self):
+        f = lambda x: x * x - 1.0  # noqa: E731
+        for solver in (brentq, scipy.optimize.brentq):
+            with pytest.raises(ValueError):
+                solver(f, 1.5, 3.0, xtol=1e-12)
+
+    @pytest.mark.parametrize("maxiter", [1, 3, 5])
+    def test_running_out_of_iterations(self, monkeypatch, maxiter):
+        """Out of iterations it raises, or with disp=False returns scipy's last point."""
+        monkeypatch.setattr(dop853, "BRENT_MAXITER", maxiter)
+        f = lambda x: math.tanh(x - 0.3)  # noqa: E731
+        with pytest.raises(RuntimeError):
+            brentq(f, -2.0, 2.0, xtol=1e-15)
+        ref = scipy.optimize.brentq(f, -2.0, 2.0, xtol=1e-15, maxiter=maxiter, disp=False)
+        assert brentq(f, -2.0, 2.0, xtol=1e-15, disp=False) == ref
