@@ -20,7 +20,7 @@ from .flow import (
     CHAMBER_CUSHION, DEGENERATION_STOPS, Budget, StopEvent, Trajectory, integrate, vec_to_state,
 )
 from .invariants import (
-    FullState, U1State, alc_margin, alc_strict_margin, death_margin, eval_F, in_ac_backward, u1_from_full,
+    FullState, U1State, alc_margin, alc_strict_margin, death_margin, eval_F, in_ac_backward,
 )
 from .params import ModelParams
 from .seeds import NUINF, SeedSpec
@@ -128,11 +128,8 @@ def classify_trajectory(
         return Verdict(kind="Indeterminate", reason=f"no seed: {exc}")
     t0 = seed.t_switch
 
-    if isinstance(state0, FullState):
-        try:
-            state0 = u1_from_full(state0)
-        except DomainError:
-            return Verdict(kind="Indeterminate", reason="no U(1) symmetry: classification out of scope")
+    if isinstance(state0, FullState):  # `SeedSpec.build` found it off the U(1) locus
+        return Verdict(kind="Indeterminate", reason="no U(1) symmetry: classification out of scope")
 
     scale = max(params.scale3 ** (1.0 / 3.0), t0)
     t_max = max(200.0 * t0, budget.t_factor * scale)

@@ -114,12 +114,7 @@ def _manifest(cfg: RunConfig, events: list, wall: float | None) -> dict:
 def cmd_solve(cfg: RunConfig) -> dict:
     started = time.perf_counter()
     spec = spec_from_config(cfg)
-    params, state, _ = spec.build()
-    if isinstance(state, FullState):
-        try:
-            state = u1_from_full(state)  # the reduced system is the default form
-        except G2FlowError:
-            pass  # genuinely non-U(1): run the full system
+    params, state, _ = spec.build()  # a FullState only off the U(1) locus
     t0 = spec.t_switch
     t1 = cfg.t1 if cfg.t1 is not None else t0 + cfg.t_factor * params.scale3 ** (1.0 / 3.0)
 
@@ -167,7 +162,6 @@ def _merge_legs(legs: list[Trajectory], params: ModelParams) -> Trajectory:
     segments = [seg for leg in legs for seg in leg.segments]
     return Trajectory(
         system=legs[0].system, params=params, ts=ts, zs=zs, events=events, segments=segments,
-        anchor=legs[0].anchor,
     )
 
 

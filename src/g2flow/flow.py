@@ -53,6 +53,8 @@ EVENT_PARAM_TOL = 1e-10
 F_VANISH_EPS = 1e-10
 CHAMBER_CUSHION = 1e-9
 BLOWUP_FACTOR = 1e12
+# DOP853's absolute tolerance, relative to max(1, |z0|) of a leg's start
+ATOL_SCALE = 1e-13
 # the ALC horizon: t >= ALC_HORIZON * ell and b >= ALC_HORIZON_B * b_floor
 ALC_HORIZON = 128.0
 ALC_HORIZON_B = 512.0
@@ -401,7 +403,6 @@ class Trajectory:
     # may reach past an event); integrate stores lazy _Step records, wrapped
     # in _ViewedStep on a Sundman-clock leg
     segments: list = field(default_factory=list)
-    anchor: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.ts)
@@ -467,7 +468,6 @@ def integrate(
     budget: Budget | None = None,
     direction: int = +1,
     rtol: float = 1e-11,
-    atol_scale: float = 1e-13,
 ) -> Trajectory:
     """Integrate from the seed until the first stop event or budget exhaustion.
 
@@ -475,13 +475,7 @@ def integrate(
     steps in the Sundman clock (see the module docstring).
     """
     system, z0 = state_to_vec(seed)
-    try:
-        admissible = seed.on_principal_locus(params) if system != "u1_a" else (
-            seed.db > 0 and eval_F(seed.a, seed.b, params)[0] > 0
-        )
-    except DomainError:
-        admissible = False
-    if not admissible:
+    if not seed.on_principal_locus(params):
         raise SeedError(f"seed {seed} is off the admissible locus")
     stops = stops or []
     if _on_symmetric_locus(seed):
@@ -492,7 +486,7 @@ def integrate(
 
     t_end = t_start + direction * budget.span
     margins = [(*_margin_fn(ev, system, params, z0), ev.kind) for ev in stops]
-    atol = atol_scale * max(1.0, float(np.max(np.abs(z0))))
+    atol = ATOL_SCALE * max(1.0, float(np.max(np.abs(z0))))
 
     sundman = (
         direction > 0
@@ -598,6 +592,5 @@ def integrate(
         zs=np.array(zs),
         events=events,
         segments=segments,
-        anchor={"t_start": t_start},
     )
 

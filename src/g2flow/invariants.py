@@ -19,6 +19,8 @@ from .params import ModelParams
 # Absolute cushion used when deciding whether a radicand is "negative" as
 # opposed to a rounding artefact of zero.
 BOUNDARY_CUSHION = 1e-14
+# relative mismatch of (a1, a2) and of (x1, x2) that `u1_from_full` accepts
+U1_RTOL = 1e-8
 
 
 class Param(Enum):
@@ -71,12 +73,12 @@ class U1State:
         return self.da > 0 and self.db > 0 and eval_F(self.a, self.b, params)[0] > 0
 
 
-def u1_from_full(state: FullState, rtol: float = 1e-8) -> U1State:
+def u1_from_full(state: FullState) -> U1State:
     """Project a U(1)-symmetric full state down to (a, b, da, db)."""
     y, x = state.y, state.x
     scale_y = max(abs(y[0]), abs(y[1]), 1e-300)
     scale_x = max(abs(x[0]), abs(x[1]), 1e-300)
-    if abs(y[0] - y[1]) > rtol * scale_y or abs(x[0] - x[1]) > rtol * scale_x:
+    if abs(y[0] - y[1]) > U1_RTOL * scale_y or abs(x[0] - x[1]) > U1_RTOL * scale_x:
         raise DomainError("state is not U(1)-symmetric (need x1 = x2, y1 = y2)")
     da = state.da
     return U1State(a=float(y[0]), b=float(y[2]), da=float(da[0]), db=float(da[2]))

@@ -19,6 +19,12 @@ from dataclasses import dataclass
 from .errors import ConstraintError
 
 
+def _check_r0(family: str, r0: float):
+    """Every singular-orbit family has an orbit of positive size r0."""
+    if r0 <= 0:
+        raise ConstraintError(f"{family} family requires r0 > 0, got r0 = {r0}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Coefficients of e1^e2^e3 (p) and e1'^e2'^e3' (q), plus the orbit scale r0 when known."""
@@ -37,20 +43,19 @@ class ModelParams:
 
     @classmethod
     def delta_su2(cls, r0: float) -> ModelParams:
-        if r0 <= 0:
-            raise ConstraintError("delta_su2 family requires r0 > 0")
+        _check_r0("delta_su2", r0)
         return cls(p=r0**3, q=-(r0**3), r0=float(r0))
 
     @classmethod
     def su2_factor(cls, r0: float) -> ModelParams:
-        if r0 <= 0:
-            raise ConstraintError("su2_factor family requires r0 > 0")
+        _check_r0("su2_factor", r0)
         return cls(p=-(r0**3), q=0.0, r0=float(r0))
 
     @classmethod
     def kmn(cls, m: int, n: int, r0: float) -> ModelParams:
         if m <= 0 or n <= 0 or math.gcd(int(m), int(n)) != 1:
             raise ConstraintError(f"(m, n) = ({m}, {n}) must be coprime positive integers")
+        _check_r0("kmn", r0)
         return cls(p=-(m * m) * r0**3, q=(n * n) * r0**3, r0=float(r0))
 
     @property

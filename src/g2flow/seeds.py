@@ -28,19 +28,21 @@ of the free mode's generator.
 
 This is the only module that knows the families:
 `FAMILIES` maps every accepted name to its canonical family, and
-`SeedSpec.build` is the one dispatch on it.
+`SeedSpec.build` is the one dispatch on it.  The `seed_*` constructors
+return each family's native state, a `FullState` for B7, D7 and K(m, n);
+`SeedSpec.build` returns a `U1State` whenever the seed lies on the U(1)
+locus, so callers never project a seed themselves.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import ConstraintError, NonAnalyticError, ResonanceError, SeedError
-from .invariants import FullState, U1State, hamiltonian
+from .errors import ConstraintError, DomainError, ResonanceError, SeedError
+from .invariants import FullState, U1State, hamiltonian, u1_from_full
 from .params import ModelParams
 from .series import ExponentLattice, Series
 
@@ -51,6 +53,12 @@ CONE_COEFF = SQRT3 / 54.0
 
 _FIXED_POINT_TOL = 1e-9
 _SHIFT_TOL = 1e-8
+# an exponent this close to an eigenvalue of the linearization is resonant
+_RESONANCE_TOL = 1e-8
+# |H| of an emitted seed, relative to 1 + its orbital volume
+_SEED_H_TOL = 1e-10
+# the highest retained terms of a series at its switch parameter
+_TAIL_TOL = 1e-10
 
 _AC_MIN_ORDER = 15.0
 
@@ -83,10 +91,8 @@ class SeriesSolution:
     lattice: ExponentLattice
     coefficients: dict
     truncation_order: float
-    direction: str = "from_zero_forward"
     repaired: list = field(default_factory=list)
     linearization: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def first_omitted_exponent(self) -> float:
@@ -123,40 +129,6 @@ class SeriesSolution:
             e = self.lattice.exponent(h)
             out = out + np.asarray(c) * e * t**e
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "base": list(map(float, self.base)),
-                "generators": list(self.lattice.generators),
-                "coefficients": {
-                    ",".join(map(str, h)): list(map(float, c)) for h, c in self.coefficients.items()
-                },
-                "truncation_order": self.truncation_order,
-                "direction": self.direction,
-                "repaired": [list(h) for h in self.repaired],
-                "meta": self.meta,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> SeriesSolution:
-        obj = json.loads(text)
-        lattice = ExponentLattice(tuple(obj["generators"]))
-        coeffs = {
-            tuple(int(x) for x in k.split(",")): np.array(v, dtype=float)
-            for k, v in obj["coefficients"].items()
-        }
-        return cls(
-            base=np.array(obj["base"], dtype=float),
-            lattice=lattice,
-            coefficients=coeffs,
-            truncation_order=obj["truncation_order"],
-            direction=obj["direction"],
-            repaired=[tuple(h) for h in obj["repaired"]],
-            meta=obj.get("meta", {}),
-        )
 
 
 @dataclass
@@ -223,12 +195,8 @@ def solve_singular_ivp(
     generators: tuple[float, ...],
     order: float,
     free_modes: dict[int, tuple[float, np.ndarray]] | None = None,
-    linearization: np.ndarray | None = None,
     repairs: dict | None = None,
     shift_pad: float = 0.0,
-    direction: str = "from_zero_forward",
-    resonance_tol: float = 1e-8,
-    meta: dict | None = None,
 ) -> SeriesSolution:
     """Compute the generalized power series solution of t dy/dt = Phi(y, t).
 
@@ -246,8 +214,6 @@ def solve_singular_ivp(
     repairs = repairs or {}
 
     A = _linearize(ode, y0, lattice, shift_pad)
-    if linearization is not None and not np.allclose(A, linearization, rtol=1e-8, atol=1e-8):
-        raise NonAnalyticError("declared linearization disagrees with the computed one")
     eigs = np.linalg.eigvals(A)
 
     builder = SeriesSolutionBuilder(lattice, order, shift_pad, y0)
@@ -291,7 +257,7 @@ def solve_singular_ivp(
             repaired.append(h)
         else:
             gap = float(np.min(np.abs(e - eigs)))
-            if gap <= resonance_tol:
+            if gap <= _RESONANCE_TOL:
                 yp, *_ = np.linalg.lstsq(M, Q, rcond=None)
                 obstruction = float(np.linalg.norm(M @ yp - Q))
                 raise ResonanceError(
@@ -308,10 +274,8 @@ def solve_singular_ivp(
         lattice=lattice,
         coefficients=dict(builder.coeffs),
         truncation_order=order,
-        direction=direction,
         repaired=repaired,
         linearization=A,
-        meta=meta or {},
     )
 
 
@@ -578,7 +542,7 @@ def cs_linearization_eigen() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # -- seed constructors ---------------------------------------------------------
 
 
-def _check_seed_state(state, params: ModelParams, tol_scale: float = 1e-10):
+def _check_seed_state(state, params: ModelParams):
     vol = 0.0
     if isinstance(state, U1State):
         vol = 2 * state.da**2 * state.db
@@ -586,22 +550,21 @@ def _check_seed_state(state, params: ModelParams, tol_scale: float = 1e-10):
         da = state.da
         vol = 2 * da[0] * da[1] * da[2]
     h = hamiltonian(state, params)
-    if abs(h) > tol_scale * (1.0 + vol):
+    if abs(h) > _SEED_H_TOL * (1.0 + vol):
         raise SeedError(f"seed violates the Hamiltonian constraint: |H| = {abs(h)}")
     return state
 
 
-def _seed_by_ladder(ladder: tuple, order, t: float, params: ModelParams, solve, state_of):
+def _seed_by_ladder(ladder: tuple, t: float, params: ModelParams, solve, state_of):
     """Series and checked state from the first order that passes.
 
-    The order climbs `ladder` (or is `order` alone when given)
-    until the series tail at the switch parameter t, the emitted state and
-    its Hamiltonian pass their checks; the last SeedError is re-raised
-    when no order does.  `solve(order=...)` returns the series solution and
-    `state_of(sol)` the state it emits.
+    The order climbs `ladder` until the series tail at the switch parameter
+    t, the emitted state and its Hamiltonian pass their checks; the last
+    SeedError is re-raised when no order does.  `solve(order=...)` returns
+    the series solution and `state_of(sol)` the state it emits.
     """
     last_exc = None
-    for trial in (order,) if order is not None else ladder:
+    for trial in ladder:
         sol = solve(order=trial)
         try:
             state = state_of(sol)
@@ -612,7 +575,7 @@ def _seed_by_ladder(ladder: tuple, order, t: float, params: ModelParams, solve, 
     raise last_exc
 
 
-def seed_delta_su2(r0, alpha1, alpha2, alpha3, t_switch, order=None):
+def seed_delta_su2(r0, alpha1, alpha2, alpha3, t_switch):
     """Series and state for the family closing on the diagonal singular S^3."""
     params = ModelParams.delta_su2(r0)
     if abs(64 * r0 * (alpha1 + alpha2 + alpha3) - 1.0) > 1e-12:
@@ -620,17 +583,16 @@ def seed_delta_su2(r0, alpha1, alpha2, alpha3, t_switch, order=None):
     al = (alpha1, alpha2, alpha3)
     y0 = np.array([2 * r0 * (al[1] + al[2]), 2 * r0 * (al[2] + al[0]), 2 * r0 * (al[0] + al[1]), *al])
     t = t_switch
-    meta = {"family": "delta_su2", "r0": r0, "alphas": list(al), "t_switch": t_switch}
-    solve = partial(solve_singular_ivp, _phi_delta_su2(r0), y0, (2.0,), shift_pad=2.0, meta=meta)
+    solve = partial(solve_singular_ivp, _phi_delta_su2(r0), y0, (2.0,), shift_pad=2.0)
 
     def state_of(sol):
         XY = sol.evaluate(t)
         return FullState(x=r0**2 * t**2 / 4 + t**4 * XY[:3], y=r0**3 + r0 * t**2 / 4 + t**4 * XY[3:])
 
-    return _seed_by_ladder(_SMOOTH_LADDER, order, t, params, solve, state_of)
+    return _seed_by_ladder(_SMOOTH_LADDER, t, params, solve, state_of)
 
 
-def seed_su2_factor(r0, alpha1, alpha2, alpha3, t_switch, order=None):
+def seed_su2_factor(r0, alpha1, alpha2, alpha3, t_switch):
     """Series and state for the family closing on the factor singular S^3."""
     params = ModelParams.su2_factor(r0)
     if min(alpha1, alpha2, alpha3) <= 0:
@@ -649,17 +611,16 @@ def seed_su2_factor(r0, alpha1, alpha2, alpha3, t_switch, order=None):
         ]
     )
     t = t_switch
-    meta = {"family": "su2_factor", "r0": r0, "alphas": list(al), "t_switch": t_switch}
-    solve = partial(solve_singular_ivp, _phi_su2_factor(r0), y0, (2.0,), meta=meta)
+    solve = partial(solve_singular_ivp, _phi_su2_factor(r0), y0, (2.0,))
 
     def state_of(sol):
         XY = sol.evaluate(t)
         return FullState(x=t**2 * XY[:3], y=t**2 * XY[3:])
 
-    return _seed_by_ladder(_SMOOTH_LADDER, order, t, params, solve, state_of)
+    return _seed_by_ladder(_SMOOTH_LADDER, t, params, solve, state_of)
 
 
-def seed_kmn(m, n, r0, beta, alpha=None, t_switch=0.1, order=None):
+def seed_kmn(m, n, r0, beta, alpha=None, t_switch=0.1):
     """Series and state for the family closing on the S^2 x S^3 singular orbit."""
     m, n = int(m), int(n)
     params = ModelParams.kmn(m, n, r0)
@@ -670,7 +631,7 @@ def seed_kmn(m, n, r0, beta, alpha=None, t_switch=0.1, order=None):
             raise ConstraintError("a1 != a2 (alpha != 0) is only allowed for m = n = 1")
         if abs(alpha) >= 1:
             raise ConstraintError("k11 requires |alpha| < 1")
-        return _seed_k11(params, float(alpha), beta, t_switch, order)
+        return _seed_k11(params, float(alpha), beta, t_switch)
     mn3 = m * n * r0**3
     y0 = np.array(
         [
@@ -681,8 +642,7 @@ def seed_kmn(m, n, r0, beta, alpha=None, t_switch=0.1, order=None):
         ]
     )
     t = t_switch
-    meta = {"family": "kmn", "m": m, "n": n, "r0": r0, "beta": beta, "t_switch": t_switch}
-    solve = partial(solve_singular_ivp, _phi_kmn(m, n, r0, beta), y0, (2.0,), meta=meta)
+    solve = partial(solve_singular_ivp, _phi_kmn(m, n, r0, beta), y0, (2.0,))
 
     def state_of(sol):
         X1, X3, Y1, Y3 = sol.evaluate(t)
@@ -690,10 +650,10 @@ def seed_kmn(m, n, r0, beta, alpha=None, t_switch=0.1, order=None):
         b = mn3 + t**2 * Y3
         return FullState(x=np.array([t * X1, t * X1, r0**4 * beta**2 + t**2 * X3]), y=np.array([a, a, b]))
 
-    return _seed_by_ladder(_SMOOTH_LADDER, order, t, params, solve, state_of)
+    return _seed_by_ladder(_SMOOTH_LADDER, t, params, solve, state_of)
 
 
-def _seed_k11(params: ModelParams, alpha, beta, t_switch, order=None):
+def _seed_k11(params: ModelParams, alpha, beta, t_switch):
     r0 = params.r0
     guess = np.array(
         [
@@ -708,8 +668,7 @@ def _seed_k11(params: ModelParams, alpha, beta, t_switch, order=None):
     rhs = _phi_k11(r0, alpha, beta)
     y0 = _newton_fixed_point(rhs, guess, (1.0,), shift_pad=2.0)
     t = t_switch
-    meta = {"family": "k11", "r0": r0, "alpha": alpha, "beta": beta, "t_switch": t_switch}
-    solve = partial(solve_singular_ivp, rhs, y0, (1.0,), shift_pad=2.0, meta=meta)
+    solve = partial(solve_singular_ivp, rhs, y0, (1.0,), shift_pad=2.0)
 
     def state_of(sol):
         X1, X2, X3, Y1, Y2, Y3 = sol.evaluate(t)
@@ -717,20 +676,19 @@ def _seed_k11(params: ModelParams, alpha, beta, t_switch, order=None):
         y = np.array([r0**3 * alpha + t * Y1, -(r0**3) * alpha + t * Y2, r0**3 + t**2 * Y3])
         return FullState(x=x, y=y)
 
-    return _seed_by_ladder(_K11_LADDER, order, t, params, solve, state_of)
+    return _seed_by_ladder(_K11_LADDER, t, params, solve, state_of)
 
 
-def seed_cs_end(c, t_switch, order=None):
+def seed_cs_end(c, t_switch):
     """Conically singular end: series in powers of t^nu0 around the cone."""
     if t_switch <= 0:
         raise ConstraintError("cs_end requires t_switch > 0")
-    meta = {"family": "cs_end", "c": c, "t_switch": t_switch}
 
     def solve(order):
-        return _scaled(_cs_series_unit(order), c, 0, meta)
+        return _scaled(_cs_series_unit(order), c, 0)
 
     state_of = partial(_cs_state, t=t_switch)
-    return _seed_by_ladder(_CS_LADDER, order, t_switch, ModelParams.cone(), solve, state_of)
+    return _seed_by_ladder(_CS_LADDER, t_switch, ModelParams.cone(), solve, state_of)
 
 
 @lru_cache(maxsize=16)
@@ -744,7 +702,7 @@ def _cs_series_unit(order: float) -> SeriesSolution:
     return solve_singular_ivp(_phi_cs(), np.zeros(4), (NU0,), order, free_modes={0: (1.0, v)})
 
 
-def _scaled(unit: SeriesSolution, c: float, slot: int, meta: dict) -> SeriesSolution:
+def _scaled(unit: SeriesSolution, c: float, slot: int) -> SeriesSolution:
     """The unit series at free coefficient c: the coefficient of h scales as c^h[slot]."""
     coeffs = {h: vec * c ** h[slot] for h, vec in unit.coefficients.items()}
     return replace(
@@ -752,7 +710,6 @@ def _scaled(unit: SeriesSolution, c: float, slot: int, meta: dict) -> SeriesSolu
         base=unit.base.copy(),
         coefficients={h: vec for h, vec in coeffs.items() if np.max(np.abs(vec)) > 0},
         repaired=list(unit.repaired),
-        meta=meta,
     )
 
 
@@ -796,12 +753,10 @@ def _ac_series_unit(p: float, q: float, order: float) -> SeriesSolution:
         order,
         free_modes={1: (1.0, v)},
         repairs={(2, 0): repair},
-        direction="from_infinity_backward",
-        meta={"family": "ac_end", "p": p, "q": q, "c": 1.0},
     )
 
 
-def seed_ac_end(params: ModelParams, c, T_switch, order=None):
+def seed_ac_end(params: ModelParams, c, T_switch):
     """Asymptotically conical end: series in 1/t with the repaired resonance.
 
     Normalization: unit asymptotic cone (coefficient sqrt(3)/54) and no
@@ -812,15 +767,13 @@ def seed_ac_end(params: ModelParams, c, T_switch, order=None):
         raise ConstraintError("ac_end requires T_switch > 0")
     p, q = params.p, params.q
     s = 1.0 / T_switch
-    if order is None:
-        # geometric convergence ratio of the forced 1/t^3 ladder
-        rho = max(abs(18 * SQRT3 * p), abs(18 * SQRT3 * q)) * s**3
-        if rho >= 0.7:
-            raise SeedError(f"T_switch = {T_switch} too small: series ratio {rho:.2f} >= 0.7")
-        h0max = 5 if rho == 0 else min(60, max(5, int(math.ceil(math.log(1e-12) / math.log(rho)))))
-        order = max(_AC_MIN_ORDER, 3.0 * h0max + 0.5)
-    meta = {"family": "ac_end", "p": p, "q": q, "c": c, "T_switch": T_switch}
-    sol = _scaled(_ac_series_unit(p, q, order), c, 1, meta)
+    # geometric convergence ratio of the forced 1/t^3 ladder
+    rho = max(abs(18 * SQRT3 * p), abs(18 * SQRT3 * q)) * s**3
+    if rho >= 0.7:
+        raise SeedError(f"T_switch = {T_switch} too small: series ratio {rho:.2f} >= 0.7")
+    h0max = 5 if rho == 0 else min(60, max(5, int(math.ceil(math.log(1e-12) / math.log(rho)))))
+    order = max(_AC_MIN_ORDER, 3.0 * h0max + 0.5)
+    sol = _scaled(_ac_series_unit(p, q, order), c, 1)
     _check_series_tail(sol, s)
     state = _ac_state(sol, T_switch)
     return sol, _check_seed_state(state, params)
@@ -840,14 +793,14 @@ def _ac_state(sol: SeriesSolution, T: float) -> U1State:
     return U1State(a=a, b=b, da=da, db=db)
 
 
-def _check_series_tail(sol: SeriesSolution, t: float, tol: float = 1e-10):
+def _check_series_tail(sol: SeriesSolution, t: float):
     """Last-coefficient bound: the highest retained term must be negligible at t."""
     worst = 0.0
     for h, cvec in sol.coefficients.items():
         e = sol.lattice.exponent(h)
         if e > sol.truncation_order - sol.lattice.min_generator():
             worst = max(worst, float(np.max(np.abs(cvec))) * t**e)
-    if worst > tol:
+    if worst > _TAIL_TOL:
         raise SeedError(
             f"switch parameter {t} too large for the truncation order: tail estimate {worst:.2e}"
         )
@@ -863,7 +816,8 @@ def cone_state(t: float) -> U1State:
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Declarative description of a seed; `build` produces (params, state, series).
+    """Declarative description of a seed; `build` produces (params, state, series)
+    and is the one place that decides the U(1) reduction of a seed.
 
     `family` is any name in `FAMILIES` and reads back as its canonical family.
     Inputs left as None take the family's value in `build`: the B7 alphas
@@ -883,7 +837,6 @@ class SeedSpec:
     c: float = 0.0
     p: float | None = None
     q: float | None = None
-    order: float | None = None
 
     def __post_init__(self):
         family = FAMILIES.get(str(self.family).lower())
@@ -905,24 +858,40 @@ class SeedSpec:
         return {"ac_end": 50.0, "cone": 1.0, "cs_end": 0.1}[self.family]  # r0 plays no part
 
     def build(self):
+        """(params, state, series) of the seed; the series is None for the exact cone.
+
+        The state is a `U1State` whenever the seed lies on the U(1) locus
+        a1 = a2, da1 = da2 (as `u1_from_full` decides).  Two kinds of seed
+        stay `FullState`: B7 or D7 with a1 != a2, and K(1,1) with alpha != 0.
+        """
+        params, state, sol = self._native()
+        if isinstance(state, FullState):
+            try:
+                state = u1_from_full(state)
+            except DomainError:
+                pass  # off the U(1) locus
+        return params, state, sol
+
+    def _native(self):
+        """(params, state, series) with the state as its seed constructor emits it."""
         t = self.t_switch
         if self.family == "delta_su2":
             a1, a2, a3 = self.alphas
             if a1 is None:  # solve 64 r0 (2 a1 + a3) = 1
                 a1 = (1.0 / (64.0 * self.r0) - a3) / 2.0
-            sol, state = seed_delta_su2(self.r0, a1, a1 if a2 is None else a2, a3, t, self.order)
+            sol, state = seed_delta_su2(self.r0, a1, a1 if a2 is None else a2, a3, t)
             return ModelParams.delta_su2(self.r0), state, sol
         if self.family == "su2_factor":
             a1, a2, a3 = self.alphas
             if a1 is None:  # solve a1^2 a3 = 1
                 a1 = 1.0 / math.sqrt(a3)
-            sol, state = seed_su2_factor(self.r0, a1, a1 if a2 is None else a2, a3, t, self.order)
+            sol, state = seed_su2_factor(self.r0, a1, a1 if a2 is None else a2, a3, t)
             return ModelParams.su2_factor(self.r0), state, sol
         if self.family == "kmn":
-            sol, state = seed_kmn(self.m, self.n, self.r0, self.beta, self.alpha, t, self.order)
+            sol, state = seed_kmn(self.m, self.n, self.r0, self.beta, self.alpha, t)
             return ModelParams.kmn(self.m, self.n, self.r0), state, sol
         if self.family == "cs_end":
-            sol, state = seed_cs_end(self.c, t, self.order)
+            sol, state = seed_cs_end(self.c, t)
             return ModelParams.cone(), state, sol
         if self.family == "ac_end":
             p, q = self.p, self.q
@@ -930,6 +899,6 @@ class SeedSpec:
                 kmn = ModelParams.kmn(self.m, self.n, self.r0)
                 p, q = (kmn.p if p is None else p), (kmn.q if q is None else q)
             params = ModelParams.plain(p, q)
-            sol, state = seed_ac_end(params, self.c, t, self.order)
+            sol, state = seed_ac_end(params, self.c, t)
             return params, state, sol
         return ModelParams.cone(), cone_state(t), None  # the exact cone

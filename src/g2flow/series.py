@@ -295,9 +295,5 @@ class Series:
 
     # -- calculus / evaluation --
 
-    def tderivative(self) -> Series:
-        """t * d/dt: multiplies each coefficient by its exponent."""
-        return self._like(self.vector * self._basis.exponents)
-
     def evaluate(self, t: float) -> float:
         return float(np.dot(self.vector, t ** self._basis.exponents))

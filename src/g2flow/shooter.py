@@ -32,9 +32,9 @@ from .errors import (
     StiffnessError,
 )
 from .flow import DEGENERATION_STOPS, Budget, StopEvent, Trajectory, integrate
-from .invariants import Param, U1State, eval_F, gamma2_margin, in_ac_backward, u1_from_full
+from .invariants import Param, U1State, eval_F, gamma2_margin, in_ac_backward
 from .params import ModelParams
-from .seeds import NUINF, seed_ac_end, seed_kmn
+from .seeds import NUINF, SeedSpec, seed_ac_end
 
 DEFAULT_K = 1.5
 CORNER_EPS = 1e-5
@@ -354,12 +354,13 @@ def forward_seed(m: int, n: int, r0: float, beta: float) -> U1State:
     t_switch = 0.05 * abs(r0)
     for shrink in (1.0, 0.5, 0.25, 0.1):
         try:
-            _, state = seed_kmn(m, n, r0, beta, t_switch=shrink * t_switch)
+            spec = SeedSpec(family="kmn", m=m, n=n, r0=r0, beta=beta, switch_parameter=shrink * t_switch)
+            _, state, _ = spec.build()
             break
         except SeedError:
             if shrink == 0.1:
                 raise
-    return to_aparam(u1_from_full(state))
+    return to_aparam(state)
 
 
 def forward_shot(m: int, n: int, r0: float, beta: float, rtol: float = 1e-11) -> tuple[str, float]:

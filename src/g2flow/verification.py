@@ -14,7 +14,8 @@ import numpy as np
 from .classify import ELL_GAP_TOL, ClassifyBudget, chamber_membership, classify_trajectory
 from .errors import DomainError, G2FlowError
 from .flow import DEGENERATION_STOPS, Budget, integrate, vec_to_state
-from .invariants import U1State, eval_F, su2cubed_curve_residual, u1_from_full
+from . import seeds as sd
+from .invariants import U1State, eval_F, su2cubed_curve_residual
 from .params import ModelParams
 from .seeds import (
     NU0,
@@ -22,7 +23,6 @@ from .seeds import (
     SeedSpec,
     cone_state,
     cs_linearization_eigen,
-    seed_kmn,
 )
 from .shooter import BETA_GAP, find_beta_ac, find_c_ac
 
@@ -70,15 +70,21 @@ class VerificationContext:
 
 
 def check_exponents(_ctx) -> CheckResult:
-    e0 = abs(NU0 - (math.sqrt(145.0) - 7.0) / 2.0)
-    e1 = abs(NUINF - (math.sqrt(145.0) + 7.0) / 2.0)
-    e2 = abs(NU0 * NUINF - 24.0)
-    e3 = abs(NUINF - NU0 - 7.0)
+    """nu0 and nu_inf as eigenvalues of the CS and AC linearizations, each
+    computed by `_linearize` from its own Phi, not from the printed roots."""
+    L, _, _ = cs_linearization_eigen()
+    nu0 = float(np.max(np.linalg.eigvals(L).real))
+    nuinf = float(np.max(np.linalg.eigvals(sd._ac_series_unit(0.0, 0.0, 15.0).linearization).real))
+    e0 = abs(nu0 - (math.sqrt(145.0) - 7.0) / 2.0)
+    e1 = abs(nuinf - (math.sqrt(145.0) + 7.0) / 2.0)
+    e2 = abs(nu0 * nuinf - 24.0)
+    e3 = abs(nuinf - nu0 - 7.0)
     worst = max(e0, e1, e2 / 24.0, e3 / 7.0)
     return CheckResult(
         name="exponents",
         passed=worst <= 1e-12,
-        measured=f"nu0 = {NU0:.12f}, nu_inf = {NUINF:.12f} (worst defect {worst:.2e})",
+        measured=f"nu0 = {nu0:.12f}, nu_inf = {nuinf:.12f} from the CS and AC linearizations"
+        f" (worst defect {worst:.2e})",
         expected="(sqrt(145) -+ 7)/2 to 1e-12; nu0 nu_inf = 24, nu_inf - nu0 = 7",
         runtime=0.0,
     )
@@ -127,8 +133,6 @@ def check_hamiltonian_conservation(ctx) -> CheckResult:
     detail = {}
     for name, spec in seeds.items():
         params, state, _ = spec.build()
-        if not isinstance(state, U1State):
-            state = u1_from_full(state)
         t0 = spec.t_switch
         span = _growth_span(state.a * growth)
         traj = integrate(
@@ -176,9 +180,9 @@ def check_cone_exactness(_ctx) -> CheckResult:
 
 
 def check_bryant_salamon_curve(_ctx) -> CheckResult:
-    r0 = 1.0
-    spec = SeedSpec(family="delta_su2", r0=r0, alphas=(1 / 192, 1 / 192, 1 / 192), switch_parameter=0.1)
-    params, state, _ = spec.build()
+    # the native 6-D seed: the check reads x_1 and y_1 of the full system
+    params = ModelParams.delta_su2(1.0)
+    _, state = sd.seed_delta_su2(1.0, 1 / 192, 1 / 192, 1 / 192, 0.1)
     y0 = state.y[0]
     span = _growth_span(y0 * 100.0)
     traj = integrate(state, 0.1, params, [], Budget(span=span), rtol=1e-11)
@@ -476,8 +480,6 @@ def _series_residual_slope(sol, rhs, hs=(0.2, 0.1)) -> tuple[float, float]:
 
 
 def check_series_residual_orders(ctx) -> CheckResult:
-    from . import seeds as sd
-
     # per-family evaluation windows: large enough for the residual signal to
     # clear the roundoff floor, small enough to stay inside convergence
     cases = {
@@ -529,12 +531,10 @@ def check_scaling_equivariance(_ctx) -> CheckResult:
     lam = 2.0
     t0 = 0.05
     span = 6.0
-    _, s1 = seed_kmn(1, 2, 1.0, 4.0, t_switch=t0)
-    _, s2 = seed_kmn(1, 2, lam, 4.0, t_switch=lam * t0)
-    p1 = ModelParams.kmn(1, 2, 1.0)
-    p2 = ModelParams.kmn(1, 2, lam)
-    tr1 = integrate(u1_from_full(s1), t0, p1, [], Budget(span=span), rtol=1e-12)
-    tr2 = integrate(u1_from_full(s2), lam * t0, p2, [], Budget(span=lam * span), rtol=1e-12)
+    p1, s1, _ = SeedSpec(family="kmn", m=1, n=2, r0=1.0, beta=4.0, switch_parameter=t0).build()
+    p2, s2, _ = SeedSpec(family="kmn", m=1, n=2, r0=lam, beta=4.0, switch_parameter=lam * t0).build()
+    tr1 = integrate(s1, t0, p1, [], Budget(span=span), rtol=1e-12)
+    tr2 = integrate(s2, lam * t0, p2, [], Budget(span=lam * span), rtol=1e-12)
     tgrid = np.linspace(2 * lam * t0, lam * (t0 + span) * 0.98, 40)
     worst = 0.0
     for t in tgrid:

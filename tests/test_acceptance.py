@@ -2,6 +2,9 @@
 one pass/fail line.  The heavy criteria share a module-scoped context so the
 ALC verdicts of the trichotomy and shooting checks feed the asymptotics check.
 """
+import dataclasses
+
+import numpy as np
 import pytest
 
 from g2flow import verification as V
@@ -22,6 +25,29 @@ def _run(ctx, func):
 
 def test_criterion_01_exponents(ctx):
     _run(ctx, V.check_exponents)
+
+
+@pytest.mark.parametrize("end", ["cs", "ac"])
+def test_criterion_01_reads_the_linearizations(monkeypatch, end):
+    """A 1e-6 shift of either linearization's spectrum fails criterion 1."""
+    if end == "cs":
+        real = V.cs_linearization_eigen
+
+        def shifted():
+            L, vals, vecs = real()
+            return L + 1e-6 * np.eye(4), vals, vecs
+
+        monkeypatch.setattr(V, "cs_linearization_eigen", shifted)
+    else:
+        real = V.sd._ac_series_unit
+
+        def shifted(p, q, order):
+            sol = real(p, q, order)
+            return dataclasses.replace(sol, linearization=sol.linearization + 1e-6 * np.eye(4))
+
+        monkeypatch.setattr(V.sd, "_ac_series_unit", shifted)
+    res = V.VerificationContext(quick=True).run(V.check_exponents)
+    assert not res.passed, res.measured
 
 
 def test_criterion_02_eigenstructure(ctx):

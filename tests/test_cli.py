@@ -198,6 +198,13 @@ class TestClassifyCmd:
         assert json.loads(capsys.readouterr().out)["kind"] == verdict["kind"] == "Indeterminate"
         assert verdict["reason"].startswith("no seed:")
 
+    @pytest.mark.parametrize("r0", ["0", "-1"])
+    def test_kmn_nonpositive_r0_is_named(self, tmp_path, capsys, r0):
+        """K(m, n) rejects r0 <= 0 as B7 and D7 do, naming r0."""
+        args = ["classify", "--family", "kmn", "--m", "1", "--n", "2", "--beta", "2", "--r0", r0]
+        assert main([*args, "--out-dir", str(tmp_path)]) == 3
+        assert "requires r0 > 0" in capsys.readouterr().err
+
     def test_sweep(self, tmp_path):
         rc = main(
             [

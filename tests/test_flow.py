@@ -386,16 +386,15 @@ class TestDenseOutput:
     def test_matches_solve_ivp_bit_for_bit(self, run):
         """Steps and step interpolants equal scipy's own DOP853 driver exactly."""
         seed, t0, params, span = run()  # a negative span runs backwards
-        rtol, atol_scale = 1e-11, 1e-13
+        rtol = 1e-11
         traj = integrate(
-            seed, t0, params, [], Budget(span=abs(span)), direction=1 if span > 0 else -1,
-            rtol=rtol, atol_scale=atol_scale,
+            seed, t0, params, [], Budget(span=abs(span)), direction=1 if span > 0 else -1, rtol=rtol,
         )
         system, z0 = state_to_vec(seed)
         assert traj.system == system
         res = solve_ivp(
             _VECTOR_FIELDS[system](params), (t0, t0 + span), z0, method="DOP853", dense_output=True,
-            rtol=rtol, atol=atol_scale * max(1.0, float(np.max(np.abs(z0)))),
+            rtol=rtol, atol=flow.ATOL_SCALE * max(1.0, float(np.max(np.abs(z0)))),
         )
         assert res.success and len(res.t) > 10
         assert np.array_equal(traj.ts, res.t)

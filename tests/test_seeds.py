@@ -6,7 +6,7 @@ import pytest
 from g2flow import seeds as sd
 from g2flow.errors import ConstraintError, SeedError
 from g2flow.flow import Budget, integrate
-from g2flow.invariants import hamiltonian, su2cubed_curve_residual, u1_from_full
+from g2flow.invariants import FullState, U1State, hamiltonian, su2cubed_curve_residual, u1_from_full
 from g2flow.params import ModelParams
 from g2flow.series import ExponentLattice
 from g2flow.seeds import (
@@ -214,8 +214,10 @@ class TestKmn:
 
     def test_explicit_odd_order_checks_the_last_retained_term(self):
         """At order 11 the last retained term is t^10, and at t = 0.4 it is 2e-8, over the 1e-10 bound."""
+        base = seed_kmn(1, 2, 1.0, 2.5)[0].base
+        sol = sd.solve_singular_ivp(sd._phi_kmn(1, 2, 1.0, 2.5), base, (2.0,), 11.0)
         with pytest.raises(SeedError, match="tail estimate"):
-            seed_kmn(1, 2, 1.0, 2.5, t_switch=0.4, order=11.0)
+            sd._check_series_tail(sol, 0.4)
 
     def test_k11_alpha_zero_matches_kmn(self):
         _, full0 = seed_kmn(1, 1, 1.0, 1.3, alpha=0.0, t_switch=0.05)
@@ -385,6 +387,43 @@ class TestSeedSpec:
             params, state, _ = spec.build()
             assert state is not None
 
+    def test_u1_state_exactly_on_the_u1_locus(self):
+        """build projects a 6-D seed with u1_from_full, and only a seed off the locus stays 6-D."""
+        kmn = ModelParams.kmn(1, 2, 1.0)
+        on_locus = [
+            (SeedSpec(family="b7", alphas=(1 / 160, 1 / 160, 1 / 320), switch_parameter=0.1),
+             u1_from_full(seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.1)[1])),
+            (SeedSpec(family="d7", alphas=(2**0.5, 2**0.5, 0.5), switch_parameter=0.1),
+             u1_from_full(seed_su2_factor(1.0, 2**0.5, 2**0.5, 0.5, 0.1)[1])),
+            (SeedSpec(family="kmn", m=1, n=2, beta=4.0, switch_parameter=0.05),
+             u1_from_full(seed_kmn(1, 2, 1.0, 4.0, t_switch=0.05)[1])),
+            (SeedSpec(family="cs", c=1.0, switch_parameter=0.1), seed_cs_end(1.0, 0.1)[1]),
+            (SeedSpec(family="ac", m=1, n=2, c=1.0, switch_parameter=10.0), seed_ac_end(kmn, 1.0, 10.0)[1]),
+            (SeedSpec(family="cone", switch_parameter=1.0), cone_state(1.0)),
+        ]
+        for spec, low_level in on_locus:
+            _, state, _ = spec.build()
+            assert isinstance(state, U1State), spec.family
+            assert state == low_level, spec.family
+        off_locus = [
+            SeedSpec(family="b7", alphas=(1 / 150, 1 / 200, 1 / 64 - 1 / 150 - 1 / 200), switch_parameter=0.1),
+            SeedSpec(family="k11", beta=1.0, alpha=0.3, switch_parameter=0.05),
+        ]
+        for spec in off_locus:
+            _, state, _ = spec.build()
+            assert isinstance(state, FullState), spec.family
+
     def test_unknown_family(self):
         with pytest.raises(ConstraintError):
             SeedSpec(family="nope").build()
+
+
+@pytest.mark.parametrize("r0", [0.0, -1.0])
+@pytest.mark.parametrize(
+    "family",
+    [ModelParams.delta_su2, ModelParams.su2_factor, lambda r0: ModelParams.kmn(1, 2, r0)],
+    ids=["delta_su2", "su2_factor", "kmn"],
+)
+def test_every_family_requires_positive_r0(family, r0):
+    with pytest.raises(ConstraintError, match="r0"):
+        family(r0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from g2flow import seeds as sd
 from g2flow.errors import NonAnalyticError, ResonanceError
 from g2flow.params import ModelParams
-from g2flow.seeds import NU0, NUINF, SeriesSolution, solve_singular_ivp
+from g2flow.seeds import NU0, NUINF, solve_singular_ivp
 from g2flow.series import ExponentLattice, Series
 
 
@@ -68,9 +68,6 @@ class TestArithmetic:
     def test_evaluate_and_tderivative(self):
         s = make({(2,): 5.0, (3,): -1.0})
         assert s.evaluate(0.5) == pytest.approx(5 * 0.25 - 0.125)
-        td = s.tderivative()
-        assert td.coeff((2,)) == 10.0
-        assert td.coeff((3,)) == -3.0
 
 
 def naive_product(x, y) -> dict:
@@ -208,21 +205,6 @@ class TestEngine:
             phi, np.array([0.0]), (1.0,), 4.0, free_modes={0: (2.5, np.array([1.0]))}
         )
         assert sol.coefficients[(1,)][0] == pytest.approx(2.5)
-
-    def test_json_roundtrip(self):
-        def phi(ys):
-            y = ys[0]
-            lat, order = y.lattice, y.order
-            t = Series.monomial(lat, order, (1,) + (0,) * (lat.dim - 1), 1.0)
-            return [y - y * y + t]
-
-        sol = solve_singular_ivp(phi, np.array([1.0]), (1.0,), 6.0)
-        back = SeriesSolution.from_json(sol.to_json())
-        assert back.lattice.generators == sol.lattice.generators
-        for h, c in sol.coefficients.items():
-            assert np.allclose(back.coefficients[h], c)
-        t = 0.07
-        assert np.allclose(back.evaluate(t), sol.evaluate(t))
 
 
 def per_column_linearization(rhs, y0, lattice, shift_pad):
