@@ -20,7 +20,7 @@ from .flow import (
     CHAMBER_CUSHION, DEGENERATION_STOPS, Budget, StopEvent, Trajectory, integrate, vec_to_state,
 )
 from .invariants import (
-    FullState, U1State, alc_margin, alc_strict_margin, death_margin, eval_F, in_ac_backward,
+    U1State, alc_margin, alc_strict_margin, death_margin, eval_F, in_ac_backward,
 )
 from .params import ModelParams
 from .seeds import NUINF, SeedSpec
@@ -127,9 +127,6 @@ def classify_trajectory(
     except SeedError as exc:
         return Verdict(kind="Indeterminate", reason=f"no seed: {exc}")
     t0 = seed.t_switch
-
-    if isinstance(state0, FullState):  # `SeedSpec.build` found it off the U(1) locus
-        return Verdict(kind="Indeterminate", reason="no U(1) symmetry: classification out of scope")
 
     scale = max(params.scale3 ** (1.0 / 3.0), t0)
     t_max = max(200.0 * t0, budget.t_factor * scale)

@@ -15,7 +15,7 @@ from .classify import ClassifyBudget, chamber_membership, classify_trajectory
 from .config import RunConfig, load_config
 from .errors import BracketError, ConfigError, ConstraintError, G2FlowError
 from .flow import DEGENERATION_STOPS, Budget, StopEvent, Trajectory, integrate, vec_to_state
-from .invariants import FullState, eval_F, eval_lambda, hamiltonian, mean_curvature, u1_from_full
+from .invariants import eval_F, hamiltonian, mean_curvature
 from .params import ModelParams
 from .seeds import SeedSpec
 from .shooter import BETA_GAP, find_beta_ac, find_c_ac, forward_seed, forward_shot
@@ -33,15 +33,13 @@ def _fmt(x: float) -> str:
 
 def spec_from_config(cfg: RunConfig) -> SeedSpec:
     """The seed the configuration names; `SeedSpec` resolves the family name
-    and fills in the inputs left unset."""
-    try:
-        return SeedSpec(
-            family=cfg.family, switch_parameter=cfg.t_switch if cfg.t_switch is not None else cfg.t0,
-            r0=cfg.r0, alphas=(cfg.alpha1, cfg.alpha2, cfg.alpha3), alpha=cfg.alpha, beta=cfg.beta,
-            m=cfg.m, n=cfg.n, c=cfg.c, p=cfg.p, q=cfg.q,
-        )
-    except ConstraintError as exc:
-        raise ConfigError(str(exc)) from exc
+    and fills in the inputs left unset.  It raises `ConstraintError` on inputs
+    the family rejects, which `main` reports as a config error."""
+    return SeedSpec(
+        family=cfg.family, switch_parameter=cfg.t_switch, r0=cfg.r0,
+        alphas=(cfg.alpha1, None, cfg.alpha3), beta=cfg.beta,
+        m=cfg.m, n=cfg.n, c=cfg.c, p=cfg.p, q=cfg.q,
+    )
 
 
 def _csv_rows(traj: Trajectory) -> list[str]:
@@ -50,34 +48,21 @@ def _csv_rows(traj: Trajectory) -> list[str]:
     for i in range(len(traj)):
         pv = traj.ts[i]
         st = traj.state(i)
-        if isinstance(st, FullState):
-            try:
-                st_u1 = u1_from_full(st)
-            except G2FlowError:
-                st_u1 = None
-        else:
-            st_u1 = st
-        if st_u1 is not None:
-            a, b, da, db = st_u1.a, st_u1.b, st_u1.da, st_u1.db
-            f = eval_F(a, b, params)[0]
-        else:
-            y, x = st.y, st.x
-            a, b = y[0], y[2]
-            da = db = float("nan")
-            f = -eval_lambda(y, params)
-        tval = pv if traj.system in ("full", "u1_arc") else float("nan")
-        sval = a if traj.system in ("full", "u1_arc") else pv
+        a, b, da, db = st.a, st.b, st.da, st.db
+        f = eval_F(a, b, params)[0]
+        tval = pv if traj.system == "u1_arc" else float("nan")
+        sval = a if traj.system == "u1_arc" else pv
         try:
-            h = hamiltonian(st if st_u1 is None else st_u1, params)
+            h = hamiltonian(st, params)
         except G2FlowError:
             h = float("nan")
         try:
-            mc = mean_curvature(st if st_u1 is None else st_u1, params)
+            mc = mean_curvature(st, params)
         except G2FlowError:
             mc = float("nan")
         flags = [-1, -1, -1, -1]
-        if st_u1 is not None and st_u1.da > 0 and st_u1.db > 0 and f > 0:
-            mem = chamber_membership(st_u1, params)
+        if da > 0 and db > 0 and f > 0:
+            mem = chamber_membership(st, params)
             flags = [
                 int("alc_chamber" in mem),
                 int("alc_strict" in mem),
@@ -114,14 +99,13 @@ def _manifest(cfg: RunConfig, events: list, wall: float | None) -> dict:
 def cmd_solve(cfg: RunConfig) -> dict:
     started = time.perf_counter()
     spec = spec_from_config(cfg)
-    params, state, _ = spec.build()  # a FullState only off the U(1) locus
+    params, state, _ = spec.build()
     t0 = spec.t_switch
     t1 = cfg.t1 if cfg.t1 is not None else t0 + cfg.t_factor * params.scale3 ** (1.0 / 3.0)
 
-    # on U(1) runs chamber entries are recorded and the run continues; only
-    # genuine degenerations terminate it.  A full-system run has no (a, b)
-    # view, so it records nothing
-    recording = [] if isinstance(state, FullState) else [
+    # chamber entries are recorded and the run continues; only genuine
+    # degenerations terminate it
+    recording = [
         StopEvent.make("enters_alc_chamber", strict=True),
         StopEvent.make("enters_death_chamber"),
         StopEvent.make("reaches_a_equals_b"),
@@ -303,14 +287,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int)
         sp.add_argument("--n", type=int)
         sp.add_argument("--r0", type=float)
-        for fl in ("alpha1", "alpha2", "alpha3"):
+        for fl in ("alpha1", "alpha3"):
             sp.add_argument(f"--{fl}", type=_float_or_auto)
-        sp.add_argument("--alpha", type=float)
         sp.add_argument("--beta", type=float)
         sp.add_argument("--c", type=float)
         sp.add_argument("--p", type=float)
         sp.add_argument("--q", type=float)
-        sp.add_argument("--t0", type=float)
         sp.add_argument("--t1", type=float)
         sp.add_argument("--t-switch", dest="t_switch", type=float)
         sp.add_argument("--tol", type=float)
@@ -369,7 +351,9 @@ def main(argv=None) -> int:
             return 0
         if ns.command == "verify":
             return cmd_verify(cfg)
-    except ConfigError as exc:
+    except (ConfigError, ConstraintError) as exc:
+        # ConstraintError: an input a seed family rejects, when the spec is
+        # constructed or built
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BracketError as exc:

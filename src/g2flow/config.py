@@ -22,14 +22,11 @@ class RunConfig:
     n: int = 1
     r0: float = 1.0
     alpha1: float | None = None
-    alpha2: float | None = None
     alpha3: float | None = None
-    alpha: float = 0.0
     beta: float | None = None
     c: float = 0.0
     p: float | None = None
     q: float | None = None
-    t0: float | None = None
     t1: float | None = None
     t_switch: float | None = None
     tol: float = 1e-6

@@ -1,12 +1,16 @@
 """Right-hand sides and adaptive integration for the torsion-free flow.
 
-Three equivalent formulations are supported:
+Every run is on the SU(2) x SU(2) x U(1)-invariant system, a = a_1 = a_2 and
+b = a_3, in one of two equivalent formulations:
 
-* ``full``   -- the Hamiltonian system for (x1, x2, x3, y1, y2, y3),
-* ``u1_arc`` -- its U(1) reduction (x1, x2, y1, y2) = (da*db, da^2, a, b)
-                in the arc-length parameter t,
+* ``u1_arc`` -- the U(1) reduction of the Hamiltonian system,
+                (x1, x2, y1, y2) = (da*db, da^2, a, b) in the arc-length
+                parameter t,
 * ``u1_a``   -- the second-order equation for b(s) with s = a, as the
                 first-order pair (b, mu = db/da).
+
+`integrate` takes a `U1State`; a 6-D `FullState` seed is projected with
+`invariants.u1_from_full` first.
 
 Integration is the explicit embedded Runge-Kutta pair DOP853, of order
 8(5,3), in the port of scipy's stepper in ``dop853``, which steps bit for bit
@@ -39,11 +43,9 @@ from .invariants import (
     FullState,
     Param,
     U1State,
-    _grad_terms,
     alc_margin,
     death_margin,
     eval_F,
-    eval_lambda,
     gamma2_margin,
     hamiltonian,
 )
@@ -62,23 +64,6 @@ _FLOOR = 1e-300
 
 
 # -- right-hand sides ---------------------------------------------------------
-
-
-def _vf_full(params: ModelParams) -> Callable:
-    """Hamiltonian vector field on (x, y): dx_i = dH/dy_i, dy_i = -dH/dx_i."""
-    p, q = params.p, params.q
-
-    def fun(_t, z):
-        x, y = z[:3], z[3:]
-        lam = eval_lambda(y, params)
-        root = math.sqrt(max(-lam, _FLOOR))
-        dx = 2 * _grad_terms(y, p, q) / root
-        xprod = max(x[0] * x[1] * x[2], _FLOOR)
-        rootx = math.sqrt(xprod)
-        dy = np.array([rootx / max(x[0], _FLOOR), rootx / max(x[1], _FLOOR), rootx / max(x[2], _FLOOR)])
-        return np.concatenate([dx, dy])
-
-    return fun
 
 
 # The U(1) fields unpack the state into Python floats, whose arithmetic is
@@ -111,7 +96,7 @@ def _vf_u1_a(params: ModelParams) -> Callable:
     return fun
 
 
-_VECTOR_FIELDS = {"full": _vf_full, "u1_arc": _vf_u1_arc, "u1_a": _vf_u1_a}
+_VECTOR_FIELDS = {"u1_arc": _vf_u1_arc, "u1_a": _vf_u1_a}
 
 
 def _vf_u1_sundman(params: ModelParams) -> Callable:
@@ -139,17 +124,13 @@ def _same_view(t, z):
 # -- state <-> vector conversions --------------------------------------------
 
 
-def state_to_vec(state: FullState | U1State) -> tuple[str, np.ndarray]:
-    if isinstance(state, FullState):
-        return "full", np.concatenate([state.x, state.y])
+def state_to_vec(state: U1State) -> tuple[str, np.ndarray]:
     if state.param is Param.ARC_LENGTH_T:
         return "u1_arc", np.array([state.da * state.db, state.da**2, state.a, state.b])
     return "u1_a", np.array([state.b, state.db / state.da])
 
 
-def vec_to_state(system: str, param_value: float, z: np.ndarray) -> FullState | U1State:
-    if system == "full":
-        return FullState(x=z[:3], y=z[3:])
+def vec_to_state(system: str, param_value: float, z: np.ndarray) -> U1State:
     if system == "u1_arc":
         x1, x2, a, b = z
         da = math.sqrt(max(x2, 0.0))
@@ -160,11 +141,6 @@ def vec_to_state(system: str, param_value: float, z: np.ndarray) -> FullState | 
 
 def _ab_view(system: str, t: float, z: np.ndarray) -> tuple[float, float, float, float]:
     """(a, b, da, db) in whatever derivative normalization the system carries."""
-    if system == "full":
-        x, y = z[:3], z[3:]
-        prod = max(x[0] * x[1] * x[2], _FLOOR)
-        root = math.sqrt(prod)
-        return y[0], y[2], root / max(x[0], _FLOOR), root / max(x[2], _FLOOR)
     if system == "u1_arc":
         x1, x2, a, b = z
         da = math.sqrt(max(x2, _FLOOR))
@@ -173,10 +149,8 @@ def _ab_view(system: str, t: float, z: np.ndarray) -> tuple[float, float, float,
     return t, b, 1.0, mu
 
 
-def _on_symmetric_locus(state: FullState | U1State) -> bool:
+def _on_symmetric_locus(state: U1State) -> bool:
     """a_1 = a_2 = a_3 and da_1 = da_2 = da_3 exactly."""
-    if isinstance(state, FullState):
-        return bool(np.all(state.y == state.y[0]) and np.all(state.x == state.x[0]))
     return state.a == state.b and state.da == state.db
 
 
@@ -204,31 +178,19 @@ class StopEvent:
 # the genuine degenerations that end a run: the form leaves the stable locus,
 # or the state blows up
 DEGENERATION_STOPS = (StopEvent.make("F_vanishes"), StopEvent.make("blow_up"))
-# the stops that compare a with b or da with db
-_U1_ONLY_STOPS = ("enters_alc_chamber", "enters_death_chamber", "reaches_a_equals_b")
 
 
 def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0) -> tuple[Callable, int]:
     """Return (g(t, z), direction): event fires when g crosses 0 in direction."""
     d = dict(event.data)
     bfloor = params.b_floor
-    if system == "full" and event.kind in _U1_ONLY_STOPS:
-        # the chambers and a = b are read off (a, b, da, db), which a 6-D state
-        # off the U(1) locus does not have
-        raise DomainError(f"{event.kind} is defined on U(1) states only, not on the full system")
 
     if event.kind == "F_vanishes":
         eps = F_VANISH_EPS
-        if system == "full":
 
-            def g(_t, z):
-                return -eval_lambda(z[3:], params) - eps * (float(np.dot(z[3:], z[3:])) + abs(params.p * params.q)) ** 2
-
-        else:
-
-            def g(t, z):
-                a, b, _, _ = _ab_view(system, t, z)
-                return eval_F(a, b, params)[0] - eps * (b * b + abs(params.p * params.q)) ** 2
+        def g(t, z):
+            a, b, _, _ = _ab_view(system, t, z)
+            return eval_F(a, b, params)[0] - eps * (b * b + abs(params.p * params.q)) ** 2
 
         return g, -1
 
@@ -407,7 +369,7 @@ class Trajectory:
     def __len__(self):
         return len(self.ts)
 
-    def state(self, i: int) -> FullState | U1State:
+    def state(self, i: int) -> U1State:
         return vec_to_state(self.system, self.ts[i], self.zs[i])
 
     def interpolate(self, t: float) -> np.ndarray:
@@ -448,11 +410,7 @@ class Trajectory:
         for i in range(len(self.ts)):
             st = self.state(i)
             hmax = max(hmax, abs(hamiltonian(st, self.params)))
-            if isinstance(st, U1State):
-                vmax = max(vmax, 2 * st.da**2 * st.db)
-            else:
-                da = st.da
-                vmax = max(vmax, 2 * da[0] * da[1] * da[2])
+            vmax = max(vmax, 2 * st.da**2 * st.db)
         return hmax, vmax
 
     @property
@@ -461,7 +419,7 @@ class Trajectory:
 
 
 def integrate(
-    seed: FullState | U1State,
+    seed: U1State,
     t_start: float,
     params: ModelParams,
     stops: Sequence[StopEvent] | None = None,
@@ -474,6 +432,8 @@ def integrate(
     A forward ``u1_arc`` run from a seed strictly inside the death quadrant
     steps in the Sundman clock (see the module docstring).
     """
+    if isinstance(seed, FullState):
+        raise SeedError("integrate runs the U(1) system only: project a FullState seed with u1_from_full")
     system, z0 = state_to_vec(seed)
     if not seed.on_principal_locus(params):
         raise SeedError(f"seed {seed} is off the admissible locus")

@@ -124,9 +124,17 @@ def lambda_magnitude(y, params: ModelParams) -> float:
 def eval_F(a: float, b: float, params: ModelParams) -> tuple[float, float, float]:
     """F(a,b) = -Lambda(a,a,b) together with its exact partial derivatives."""
     p, q = params.p, params.q
-    c = b * b + p * q
-    # c * c, not c ** 2: Python floats raise OverflowError in ** where a
+    # products, not **: Python floats raise OverflowError in ** where a
     # product gives inf
+    if q == -p:
+        # the factored form, as in eval_lambda: F = u^2 v w.  The expanded form
+        # loses digits to the cancellation of 4 a^2 u^2 against (b^2 - p^2)^2
+        u = b - p
+        v = 2 * a - b - p
+        w = 2 * a + b + p
+        uu = u * u
+        return float(uu * v * w), float(2 * uu * (v + w)), float(2 * u * v * w + uu * (v - w))
+    c = b * b + p * q
     f = 4 * a * a * (b - p) * (b + q) - c * c
     fa = 8 * a * (b - p) * (b + q)
     fb = 4 * a * a * (2 * b + q - p) - 4 * b * c

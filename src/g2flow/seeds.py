@@ -8,9 +8,7 @@ the lattice its blow-up lives on:
 
 * delta_su2   -- singular S^3 with diagonal stabiliser (the B7 setup; t^2),
 * su2_factor  -- singular S^3 with factor stabiliser (the D7 setup; t^2),
-* kmn         -- singular S^2 x S^3 (the C7(m,n) setup; t^2; alpha != 0 gives
-                 the non-U(1)-symmetric K(1,1) seeds, whose blow-up has t^1
-                 terms, on t),
+* kmn         -- singular S^2 x S^3 (the C7(m,n) setup; t^2),
 * cs_end      -- conically singular end at t -> 0 (t^nu0),
 * ac_end      -- asymptotically conical end at t -> infinity (series in
                  s = 1/t on (s^3, s^nu_inf), with a repaired resonance at the
@@ -29,9 +27,10 @@ of the free mode's generator.
 This is the only module that knows the families:
 `FAMILIES` maps every accepted name to its canonical family, and
 `SeedSpec.build` is the one dispatch on it.  The `seed_*` constructors
-return each family's native state, a `FullState` for B7, D7 and K(m, n);
-`SeedSpec.build` returns a `U1State` whenever the seed lies on the U(1)
-locus, so callers never project a seed themselves.
+return each family's native state, a `FullState` for B7, D7 and K(m, n),
+whose series are solved in those coordinates.  Every seed a `SeedSpec`
+describes lies on the U(1) locus a1 = a2, and `SeedSpec.build` always
+returns a `U1State`, so callers never project a seed themselves.
 """
 from __future__ import annotations
 
@@ -41,7 +40,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import ConstraintError, DomainError, ResonanceError, SeedError
+from .errors import ConstraintError, ResonanceError, SeedError
 from .invariants import FullState, U1State, hamiltonian, u1_from_full
 from .params import ModelParams
 from .series import ExponentLattice, Series
@@ -66,10 +65,10 @@ _AC_MIN_ORDER = 15.0
 # parameter and the Hamiltonian budget of the emitted state are met; six
 # nu0-harmonics keep the cs_end tail below 1e-10 at the default switch point
 _SMOOTH_LADDER = (10.0, 14.0, 18.0, 24.0, 30.0)  # delta_su2, su2_factor, kmn
-_K11_LADDER = (10.0, 14.0, 18.0, 24.0)
 _CS_LADDER = (6 * NU0 + 1e-9, 9 * NU0 + 1e-9, 12 * NU0 + 1e-9)
 
-# every accepted seed-family name (in any case) and the canonical family it builds
+# every accepted seed-family name (in any case) and the canonical family it
+# builds; k11 is K(1, 1), kmn at its default m = n = 1
 FAMILIES = {
     "cone": "cone",
     "b7": "delta_su2", "delta_su2": "delta_su2",
@@ -286,22 +285,6 @@ def _free_slot(h: tuple, free_modes: dict) -> int | None:
     return slot if slot in free_modes else None
 
 
-def _newton_fixed_point(rhs, guess: np.ndarray, generators, shift_pad: float) -> np.ndarray:
-    """Solve Phi(y0, 0) = 0 by Newton iteration using the probe linearization."""
-    lattice = ExponentLattice(tuple(generators))
-    y = np.array(guess, dtype=float)
-    for _ in range(80):
-        ys = [Series.constant(lattice, shift_pad + 0.05, yi) for yi in y]
-        F = rhs(ys)
-        c = np.array([f.const for f in F])
-        scale = 1.0 + max(f.magnitude() for f in F)
-        if np.max(np.abs(c)) < 1e-14 * scale:
-            return y
-        A = _linearize(rhs, y, lattice, shift_pad)
-        y = y - np.linalg.solve(A, c)
-    raise ConstraintError("fixed-point iteration for the seed base values did not converge")
-
-
 # -- family right-hand sides ---------------------------------------------------
 
 
@@ -403,50 +386,6 @@ def _phi_kmn(m: int, n: int, r0: float, beta: float):
             (4 * (Y1 * Y1) * (2 * b + q - p) - 4 * b * core) / (2 * RF) - 2 * X3,
             RS - Y1,
             X1 / RS - 2 * Y3,
-        ]
-
-    return rhs
-
-
-def _phi_k11(r0: float, alpha: float, beta: float):
-    """Full 6D blow-up for the K_{1,1} family with a1(0) != a2(0) allowed."""
-    p, q = -(r0**3), r0**3
-    mag = max(1.0, abs(r0) ** 9) * max(1.0, abs(r0) ** 3)
-
-    def rhs(ys: list[Series]) -> list[Series]:
-        lat, order = ys[0].lattice, ys[0].order
-        X1, X2, X3, Y1, Y2, Y3 = ys
-        t1 = _mono(lat, order, 1)
-        t2 = _mono(lat, order, 2)
-        ay = [r0**3 * alpha + t1 * Y1, -(r0**3) * alpha + t1 * Y2, r0**3 + t2 * Y3]
-        quart = (ay[0] - ay[1] - ay[2]) * (ay[0] + ay[1] + ay[2]) * (ay[0] - ay[1] + ay[2]) * (
-            ay[0] + ay[1] - ay[2]
-        )
-        lam = quart + 4 * (p - q) * (ay[0] * ay[1] * ay[2]) + 2 * p * q * (
-            ay[0] * ay[0] + ay[1] * ay[1] + ay[2] * ay[2]
-        ) + (p * q) ** 2
-        neglam = -lam
-        tol = _SHIFT_TOL * max(1.0, neglam.magnitude(), mag)
-        W = _down(neglam, 2, tol)
-        RW = W.sqrt()
-        G = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            G.append(
-                ay[i] * (ay[j] * ay[j] + ay[k] * ay[k] - ay[i] * ay[i] - p * q)
-                - (p - q) * (ay[j] * ay[k])
-            )
-        gtol = lambda g: _SHIFT_TOL * max(1.0, g.magnitude())
-        S3 = r0**4 * beta**2 + t2 * X3
-        P = X1 * X2 * S3
-        RP = P.sqrt()
-        return [
-            2 * _down(G[0], 1, gtol(G[0])) / RW - X1,
-            2 * _down(G[1], 1, gtol(G[1])) / RW - X2,
-            2 * _down(G[2], 2, gtol(G[2])) / RW - 2 * X3,
-            X2 * S3 / RP - Y1,
-            X1 * S3 / RP - Y2,
-            X1 * X2 / RP - 2 * Y3,
         ]
 
     return rhs
@@ -620,18 +559,12 @@ def seed_su2_factor(r0, alpha1, alpha2, alpha3, t_switch):
     return _seed_by_ladder(_SMOOTH_LADDER, t, params, solve, state_of)
 
 
-def seed_kmn(m, n, r0, beta, alpha=None, t_switch=0.1):
+def seed_kmn(m, n, r0, beta, t_switch=0.1):
     """Series and state for the family closing on the S^2 x S^3 singular orbit."""
     m, n = int(m), int(n)
     params = ModelParams.kmn(m, n, r0)
     if beta is None or beta <= 0:
         raise ConstraintError("kmn requires beta > 0")
-    if alpha is not None and alpha != 0.0:
-        if not (m == 1 and n == 1):
-            raise ConstraintError("a1 != a2 (alpha != 0) is only allowed for m = n = 1")
-        if abs(alpha) >= 1:
-            raise ConstraintError("k11 requires |alpha| < 1")
-        return _seed_k11(params, float(alpha), beta, t_switch)
     mn3 = m * n * r0**3
     y0 = np.array(
         [
@@ -651,32 +584,6 @@ def seed_kmn(m, n, r0, beta, alpha=None, t_switch=0.1):
         return FullState(x=np.array([t * X1, t * X1, r0**4 * beta**2 + t**2 * X3]), y=np.array([a, a, b]))
 
     return _seed_by_ladder(_SMOOTH_LADDER, t, params, solve, state_of)
-
-
-def _seed_k11(params: ModelParams, alpha, beta, t_switch):
-    r0 = params.r0
-    guess = np.array(
-        [
-            2 * r0**3 * math.sqrt(1 - alpha**2),
-            2 * r0**3 * math.sqrt(1 - alpha**2),
-            0.0,
-            r0**2 * beta,
-            r0**2 * beta,
-            r0 * math.sqrt(1 - alpha**2) / beta,
-        ]
-    )
-    rhs = _phi_k11(r0, alpha, beta)
-    y0 = _newton_fixed_point(rhs, guess, (1.0,), shift_pad=2.0)
-    t = t_switch
-    solve = partial(solve_singular_ivp, rhs, y0, (1.0,), shift_pad=2.0)
-
-    def state_of(sol):
-        X1, X2, X3, Y1, Y2, Y3 = sol.evaluate(t)
-        x = np.array([t * X1, t * X2, r0**4 * beta**2 + t**2 * X3])
-        y = np.array([r0**3 * alpha + t * Y1, -(r0**3) * alpha + t * Y2, r0**3 + t**2 * Y3])
-        return FullState(x=x, y=y)
-
-    return _seed_by_ladder(_K11_LADDER, t, params, solve, state_of)
 
 
 def seed_cs_end(c, t_switch):
@@ -817,20 +724,20 @@ def cone_state(t: float) -> U1State:
 @dataclass(frozen=True)
 class SeedSpec:
     """Declarative description of a seed; `build` produces (params, state, series)
-    and is the one place that decides the U(1) reduction of a seed.
+    and is the one place that projects a seed onto the U(1) system.
 
     `family` is any name in `FAMILIES` and reads back as its canonical family.
     Inputs left as None take the family's value in `build`: the B7 alphas
-    from 64 r0 (a1 + a2 + a3) = 1 and the D7 alphas from a1 a2 a3 = 1 (a2 = a1
-    in both), and the AC end's (p, q) from K(m, n).  alpha3 (B7, D7) and beta
-    (K(m, n)) have no default.
+    from 64 r0 (a1 + a2 + a3) = 1 and the D7 alphas from a1 a2 a3 = 1, and
+    the AC end's (p, q) from K(m, n).  alpha3 (B7, D7) and beta (K(m, n))
+    have no default.  alpha2 is None or alpha1: every seed lies on the U(1)
+    locus a1 = a2.  The switch parameter must be positive.
     """
 
     family: str
     switch_parameter: float | None = None
     r0: float = 1.0
     alphas: tuple[float | None, float | None, float | None] | None = None
-    alpha: float = 0.0
     beta: float | None = None
     m: int = 1
     n: int = 1
@@ -842,8 +749,16 @@ class SeedSpec:
         family = FAMILIES.get(str(self.family).lower())
         if family is None:
             raise ConstraintError(f"unknown seed family {self.family!r}")
-        if family in ("delta_su2", "su2_factor") and (self.alphas is None or self.alphas[2] is None):
-            raise ConstraintError(f"{self.family} seed needs alpha3")
+        if self.switch_parameter is not None and not self.switch_parameter > 0:
+            raise ConstraintError(f"the switch parameter must be positive, got {self.switch_parameter}")
+        if family in ("delta_su2", "su2_factor"):
+            if self.alphas is None or self.alphas[2] is None:
+                raise ConstraintError(f"{self.family} seed needs alpha3")
+            a1, a2, _ = self.alphas
+            if a2 is not None and a2 != a1:
+                raise ConstraintError(
+                    f"{self.family} seed with alpha2 = {a2} != alpha1 = {a1} is off the U(1) locus a1 = a2"
+                )
         if family == "kmn" and self.beta is None:
             raise ConstraintError(f"{self.family} seed needs beta")
         object.__setattr__(self, "family", family)
@@ -860,35 +775,34 @@ class SeedSpec:
     def build(self):
         """(params, state, series) of the seed; the series is None for the exact cone.
 
-        The state is a `U1State` whenever the seed lies on the U(1) locus
-        a1 = a2, da1 = da2 (as `u1_from_full` decides).  Two kinds of seed
-        stay `FullState`: B7 or D7 with a1 != a2, and K(1,1) with alpha != 0.
+        The state is always a `U1State`: the 6-D states of B7, D7 and K(m, n)
+        are projected with `u1_from_full`.
         """
         params, state, sol = self._native()
         if isinstance(state, FullState):
-            try:
-                state = u1_from_full(state)
-            except DomainError:
-                pass  # off the U(1) locus
+            state = u1_from_full(state)
         return params, state, sol
 
     def _native(self):
         """(params, state, series) with the state as its seed constructor emits it."""
         t = self.t_switch
         if self.family == "delta_su2":
-            a1, a2, a3 = self.alphas
+            params = ModelParams.delta_su2(self.r0)  # checks r0 before the solve divides by it
+            a1, _, a3 = self.alphas
             if a1 is None:  # solve 64 r0 (2 a1 + a3) = 1
                 a1 = (1.0 / (64.0 * self.r0) - a3) / 2.0
-            sol, state = seed_delta_su2(self.r0, a1, a1 if a2 is None else a2, a3, t)
-            return ModelParams.delta_su2(self.r0), state, sol
+            sol, state = seed_delta_su2(self.r0, a1, a1, a3, t)
+            return params, state, sol
         if self.family == "su2_factor":
-            a1, a2, a3 = self.alphas
+            a1, _, a3 = self.alphas
             if a1 is None:  # solve a1^2 a3 = 1
+                if not a3 > 0:
+                    raise ConstraintError(f"su2_factor requires alpha3 > 0, got alpha3 = {a3}")
                 a1 = 1.0 / math.sqrt(a3)
-            sol, state = seed_su2_factor(self.r0, a1, a1 if a2 is None else a2, a3, t)
+            sol, state = seed_su2_factor(self.r0, a1, a1, a3, t)
             return ModelParams.su2_factor(self.r0), state, sol
         if self.family == "kmn":
-            sol, state = seed_kmn(self.m, self.n, self.r0, self.beta, self.alpha, t)
+            sol, state = seed_kmn(self.m, self.n, self.r0, self.beta, t)
             return ModelParams.kmn(self.m, self.n, self.r0), state, sol
         if self.family == "cs_end":
             sol, state = seed_cs_end(self.c, t)

@@ -200,14 +200,6 @@ class TestClassify:
         )
         assert v.diagnostics.get("confirmed") in ("F_vanishes", "blow_up")
 
-    def test_k11_asymmetric_is_indeterminate_by_design(self):
-        v = classify_trajectory(
-            SeedSpec(family="kmn", m=1, n=1, beta=1.0, alpha=0.3, switch_parameter=0.05),
-            ClassifyBudget(t_factor=20.0),
-        )
-        assert v.kind == "Indeterminate"
-        assert "U(1)" in v.reason
-
     def test_symmetric_seed_stiffness_is_indeterminate(self, monkeypatch):
         """A stalled run on an SU(2)^3-symmetric seed gives a verdict, like every other leg."""
 

@@ -38,10 +38,10 @@ class TestConfig:
             load_config(str(cfgfile), {})
 
     def test_hash_stable(self):
-        c1 = RunConfig(family="cone", t0=1.0)
-        c2 = RunConfig(family="cone", t0=1.0)
+        c1 = RunConfig(family="cone", t_switch=1.0)
+        c2 = RunConfig(family="cone", t_switch=1.0)
         assert c1.hash() == c2.hash()
-        assert c1.hash() != RunConfig(family="cone", t0=2.0).hash()
+        assert c1.hash() != RunConfig(family="cone", t_switch=2.0).hash()
 
     def test_bad_tolerance_exit_code(self, tmp_path):
         rc = main(["solve", "--family", "cone", "--tol", "-1", "--out-dir", str(tmp_path)])
@@ -95,7 +95,7 @@ class TestFamilyNames:
 class TestSolve:
     def test_cone_solve_csv(self, tmp_path):
         rc = main(
-            ["solve", "--family", "cone", "--t0", "1", "--t1", "10", "--out-dir", str(tmp_path)]
+            ["solve", "--family", "cone", "--t-switch", "1", "--t1", "10", "--out-dir", str(tmp_path)]
         )
         assert rc == 0
         cols = read_csv(tmp_path / "trajectory.csv")
@@ -106,9 +106,9 @@ class TestSolve:
         assert "wall_time_s" in manifest
 
     def test_cone_starts_at_switch_parameter(self, tmp_path):
-        """--t-switch wins over --t0, and the first row is the cone at its own t."""
+        """The first row is the cone at --t-switch."""
         rc = main(
-            ["solve", "--family", "cone", "--t-switch", "2", "--t0", "1", "--t1", "6", "--out-dir", str(tmp_path)]
+            ["solve", "--family", "cone", "--t-switch", "2", "--t1", "6", "--out-dir", str(tmp_path)]
         )
         assert rc == 0
         cols = read_csv(tmp_path / "trajectory.csv")
@@ -124,7 +124,7 @@ class TestSolve:
         assert [ev["kind"] for ev in manifest["events"]] == ["budget_exhausted"]
 
     def test_csv_17_digit_roundtrip(self, tmp_path):
-        main(["solve", "--family", "cone", "--t0", "1", "--t1", "3", "--out-dir", str(tmp_path)])
+        main(["solve", "--family", "cone", "--t-switch", "1", "--t1", "3", "--out-dir", str(tmp_path)])
         with open(tmp_path / "trajectory.csv", encoding="utf-8") as fh:
             fh.readline()
             first = fh.readline().strip().split(",")
@@ -157,28 +157,6 @@ class TestSolve:
         kinds = {e["kind"] for e in manifest["events"]}
         assert kinds & {"enters_alc_chamber", "enters_death_chamber"}
 
-    def test_asymmetric_k11_runs_the_full_system(self, tmp_path):
-        """alpha != 0 breaks the U(1) symmetry of K(1,1), so solve runs the 6-D system."""
-        rc = main(
-            [
-                "solve", "--family", "k11", "--alpha", "0.3", "--beta", "1",
-                "--t1", "5", "--out-dir", str(tmp_path),
-            ]
-        )
-        assert rc == 0
-        cols = read_csv(tmp_path / "trajectory.csv")
-        assert len(cols["t"]) > 10
-        # no (da, db) view and no chamber flags off the U(1) locus
-        assert np.all(np.isnan(cols["da"])) and np.all(np.isnan(cols["db"]))
-        for flag in ("alc_chamber", "alc_strict", "death_quadrant", "ac_backward"):
-            assert np.all(cols[flag] == -1)
-        assert np.max(np.abs(cols["H"])) <= 1e-9
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        last = manifest["events"][-1]
-        assert last["kind"] in ("F_vanishes", "blow_up") and last["param"] < 5.0
-        # the chamber and a = b stops read (a, b) off a U(1) view: none is recorded here
-        assert manifest["events"] == [last]
-
 
 class TestClassifyCmd:
     def test_cs_classify(self, tmp_path):
@@ -202,8 +180,27 @@ class TestClassifyCmd:
     def test_kmn_nonpositive_r0_is_named(self, tmp_path, capsys, r0):
         """K(m, n) rejects r0 <= 0 as B7 and D7 do, naming r0."""
         args = ["classify", "--family", "kmn", "--m", "1", "--n", "2", "--beta", "2", "--r0", r0]
-        assert main([*args, "--out-dir", str(tmp_path)]) == 3
+        assert main([*args, "--out-dir", str(tmp_path)]) == 2
         assert "requires r0 > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["classify", "--family", "kmn", "--m", "1", "--n", "2", "--beta", "2", "--r0", "-1"], "r0"),
+            (["classify", "--family", "kmn", "--m", "2", "--n", "4", "--beta", "2"], "(m, n)"),
+            (["classify", "--family", "kmn", "--m", "1", "--n", "2", "--beta", "-1"], "beta"),
+            (["find-ac", "--m", "2", "--n", "4"], "(m, n)"),
+            (["classify", "--family", "b7", "--alpha1", "0.01", "--alpha3", "0.002"], "alpha1"),
+            (["classify", "--family", "b7", "--alpha3", "0.002", "--r0", "0"], "r0"),
+            (["classify", "--family", "d7", "--alpha3", "-1"], "alpha3"),
+        ],
+        ids=["kmn-r0", "kmn-m-n", "kmn-beta", "find-ac-m-n", "b7-alpha1", "b7-r0", "d7-alpha3"],
+    )
+    def test_every_input_error_is_a_config_error(self, tmp_path, capsys, args, named):
+        """An input a seed family rejects exits 2, as a config error that names the input."""
+        assert main([*args, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
 
     def test_sweep(self, tmp_path):
         rc = main(

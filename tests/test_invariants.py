@@ -53,6 +53,13 @@ class TestEvalLambda:
             assert abs(lf - lg) <= 64 * np.finfo(float).eps * scale
 
 
+def _pq_draws(rng, n):
+    """(p, q) pairs: n general draws, n on q = -p (eval_F's factored branch) and the cone p = q = 0."""
+    general = [tuple(rng.uniform(-2, 2, size=2)) for _ in range(n)]
+    antidiagonal = [(p, -p) for p in rng.uniform(-2, 2, size=n)]
+    return general + antidiagonal + [(0.0, 0.0)] * n
+
+
 class TestEvalF:
     def test_simple(self):
         f, fa, fb = eval_F(1.0, 1.0, ModelParams.plain(0, 0))
@@ -69,9 +76,8 @@ class TestEvalF:
         assert fa == pytest.approx(8 * 4 * 7)
 
     def test_matches_minus_lambda(self):
-        for _ in range(300):
+        for p, q in _pq_draws(RNG, 300):
             a, b = RNG.uniform(-3, 3, size=2)
-            p, q = RNG.uniform(-2, 2, size=2)
             params = ModelParams.plain(p, q)
             f, _, _ = eval_F(a, b, params)
             scale = lambda_magnitude((a, a, b), params) + 1
@@ -79,9 +85,8 @@ class TestEvalF:
 
     def test_partials_match_finite_differences(self):
         h = 1e-6
-        for _ in range(50):
+        for p, q in _pq_draws(RNG, 50):
             a, b = RNG.uniform(0.2, 3, size=2)
-            p, q = RNG.uniform(-2, 2, size=2)
             params = ModelParams.plain(p, q)
             _, fa, fb = eval_F(a, b, params)
             fa_fd = (eval_F(a + h, b, params)[0] - eval_F(a - h, b, params)[0]) / (2 * h)

@@ -6,7 +6,7 @@ import pytest
 from g2flow import seeds as sd
 from g2flow.errors import ConstraintError, SeedError
 from g2flow.flow import Budget, integrate
-from g2flow.invariants import FullState, U1State, hamiltonian, su2cubed_curve_residual, u1_from_full
+from g2flow.invariants import U1State, hamiltonian, su2cubed_curve_residual, u1_from_full
 from g2flow.params import ModelParams
 from g2flow.series import ExponentLattice
 from g2flow.seeds import (
@@ -75,11 +75,6 @@ class TestFamilyEigenvalues:
         sol, _ = seed_kmn(1, 2, 1.0, 1.0, t_switch=0.05)
         eig = np.sort(np.linalg.eigvals(sol.linearization).real)
         assert eig == pytest.approx([-2, -2, -1, -1], abs=1e-9)
-
-    def test_k11(self):
-        sol, _ = seed_kmn(1, 1, 1.0, 1.0, alpha=0.3, t_switch=0.05)
-        eig = np.sort(np.linalg.eigvals(sol.linearization).real)
-        assert eig == pytest.approx([-2, -2, -1, -1, -1, -1], abs=1e-8)
 
 
 class TestEvenLattice:
@@ -202,10 +197,6 @@ class TestKmn:
             seed_kmn(2, 4, 1.0, 1.0)
         with pytest.raises(ConstraintError):
             seed_kmn(1, 2, 1.0, -1.0)
-        with pytest.raises(ConstraintError):
-            seed_kmn(1, 2, 1.0, 1.0, alpha=0.2)
-        with pytest.raises(ConstraintError):
-            seed_kmn(1, 1, 1.0, 1.0, alpha=1.2)
 
     def test_remark_b_coefficient(self):
         # b(t) = mn r0^3 + sqrt(mn)(m+n)|r0|/(2 beta) t^2 + O(t^4)
@@ -218,12 +209,6 @@ class TestKmn:
         sol = sd.solve_singular_ivp(sd._phi_kmn(1, 2, 1.0, 2.5), base, (2.0,), 11.0)
         with pytest.raises(SeedError, match="tail estimate"):
             sd._check_series_tail(sol, 0.4)
-
-    def test_k11_alpha_zero_matches_kmn(self):
-        _, full0 = seed_kmn(1, 1, 1.0, 1.3, alpha=0.0, t_switch=0.05)
-        _, fullk = seed_kmn(1, 1, 1.0, 1.3, t_switch=0.05)
-        assert np.allclose(full0.y, fullk.y, rtol=1e-9)
-        assert np.allclose(full0.x, fullk.x, rtol=1e-9)
 
     def test_hamiltonian_budget(self):
         params = ModelParams.kmn(2, 3, 1.0)
@@ -388,7 +373,7 @@ class TestSeedSpec:
             assert state is not None
 
     def test_u1_state_exactly_on_the_u1_locus(self):
-        """build projects a 6-D seed with u1_from_full, and only a seed off the locus stays 6-D."""
+        """build projects a 6-D seed with u1_from_full, and a seed off the locus is refused."""
         kmn = ModelParams.kmn(1, 2, 1.0)
         on_locus = [
             (SeedSpec(family="b7", alphas=(1 / 160, 1 / 160, 1 / 320), switch_parameter=0.1),
@@ -406,16 +391,34 @@ class TestSeedSpec:
             assert isinstance(state, U1State), spec.family
             assert state == low_level, spec.family
         off_locus = [
-            SeedSpec(family="b7", alphas=(1 / 150, 1 / 200, 1 / 64 - 1 / 150 - 1 / 200), switch_parameter=0.1),
-            SeedSpec(family="k11", beta=1.0, alpha=0.3, switch_parameter=0.05),
+            dict(family="b7", alphas=(1 / 150, 1 / 200, 1 / 64 - 1 / 150 - 1 / 200)),
+            dict(family="d7", alphas=(2.0, 1.0, 0.5)),
+            dict(family="b7", alphas=(None, 1 / 150, 1 / 320)),
         ]
-        for spec in off_locus:
-            _, state, _ = spec.build()
-            assert isinstance(state, FullState), spec.family
+        for kwargs in off_locus:
+            with pytest.raises(ConstraintError, match="U\\(1\\) locus"):
+                SeedSpec(switch_parameter=0.1, **kwargs)
 
     def test_unknown_family(self):
         with pytest.raises(ConstraintError):
             SeedSpec(family="nope").build()
+
+    @pytest.mark.parametrize("t", [0.0, -0.1, math.nan])
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            dict(family="cone"),
+            dict(family="b7", alphas=(None, None, 0.002)),
+            dict(family="d7", alphas=(None, None, 2**-0.5)),
+            dict(family="kmn", m=1, n=2, beta=2.0),
+            dict(family="cs", c=0.5),
+            dict(family="ac", m=1, n=2, c=0.5),
+        ],
+        ids=lambda inputs: inputs["family"],
+    )
+    def test_switch_parameter_must_be_positive(self, inputs, t):
+        with pytest.raises(ConstraintError, match="switch parameter"):
+            SeedSpec(switch_parameter=t, **inputs)
 
 
 @pytest.mark.parametrize("r0", [0.0, -1.0])

@@ -230,21 +230,19 @@ def _linearization_cases():
     b7 = sd.seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.1)[0]
     d7 = sd.seed_su2_factor(1.0, 2**0.25, 2**0.25, 2**-0.5, 0.1)[0]
     k12 = sd.seed_kmn(1, 2, 1.0, 1.0)[0]
-    k11 = sd.seed_kmn(1, 1, 1.0, 1.0, alpha=0.3)[0]
     end = ModelParams.kmn(1, 2, 1.0)
     ac = sd._ac_series_unit(end.p, end.q, 15.0)
     return {
         "b7": (sd._phi_delta_su2(1.0), b7.base, b7.lattice, 2.0),
         "d7": (sd._phi_su2_factor(1.0), d7.base, d7.lattice, 0.0),
         "kmn(1,2)": (sd._phi_kmn(1, 2, 1.0, 1.0), k12.base, k12.lattice, 0.0),
-        "k11": (sd._phi_k11(1.0, 0.3, 1.0), k11.base, k11.lattice, 2.0),
         "cs": (sd._phi_cs(), np.zeros(4), ExponentLattice((NU0,)), 0.0),
         "ac(1,2)": (sd._phi_ac(end.p, end.q), ac.base, ac.lattice, 0.0),
     }
 
 
 class TestLinearization:
-    @pytest.mark.parametrize("family", ["b7", "d7", "kmn(1,2)", "k11", "cs", "ac(1,2)"])
+    @pytest.mark.parametrize("family", ["b7", "d7", "kmn(1,2)", "cs", "ac(1,2)"])
     def test_one_pass_equals_per_column(self, family):
         """All k tangents in one evaluation give the per-column matrix bit for bit."""
         rhs, y0, lattice, pad = _linearization_cases()[family]
