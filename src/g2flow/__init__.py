@@ -14,7 +14,6 @@ from .errors import (
     StiffnessError,
 )
 from .invariants import (
-    FullState,
     Param,
     U1State,
     eval_F,
@@ -22,7 +21,6 @@ from .invariants import (
     hamiltonian,
     mean_curvature,
     su2cubed_curve_residual,
-    u1_from_full,
 )
 from .flow import (
     Budget,

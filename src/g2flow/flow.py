@@ -9,8 +9,7 @@ b = a_3, in one of two equivalent formulations:
 * ``u1_a``   -- the second-order equation for b(s) with s = a, as the
                 first-order pair (b, mu = db/da).
 
-`integrate` takes a `U1State`; a 6-D `FullState` seed is projected with
-`invariants.u1_from_full` first.
+`integrate` takes a `U1State`, the state every seed constructor emits.
 
 Integration is the explicit embedded Runge-Kutta pair DOP853, of order
 8(5,3), in the port of scipy's stepper in ``dop853``, which steps bit for bit
@@ -40,7 +39,6 @@ import numpy as np
 from .dop853 import DOP853, brentq, dense_output
 from .errors import DomainError, SeedError, StiffnessError
 from .invariants import (
-    FullState,
     Param,
     U1State,
     alc_margin,
@@ -432,8 +430,6 @@ def integrate(
     A forward ``u1_arc`` run from a seed strictly inside the death quadrant
     steps in the Sundman clock (see the module docstring).
     """
-    if isinstance(seed, FullState):
-        raise SeedError("integrate runs the U(1) system only: project a FullState seed with u1_from_full")
     system, z0 = state_to_vec(seed)
     if not seed.on_principal_locus(params):
         raise SeedError(f"seed {seed} is off the admissible locus")

@@ -19,38 +19,11 @@ from .params import ModelParams
 # Absolute cushion used when deciding whether a radicand is "negative" as
 # opposed to a rounding artefact of zero.
 BOUNDARY_CUSHION = 1e-14
-# relative mismatch of (a1, a2) and of (x1, x2) that `u1_from_full` accepts
-U1_RTOL = 1e-8
 
 
 class Param(Enum):
     ARC_LENGTH_T = "arc_length_t"
     A_EQUALS_S = "a_equals_s"
-
-
-@dataclass(frozen=True)
-class FullState:
-    """Flow variables of the unreduced system: y_i = a_i, x_i = da_j * da_k."""
-
-    y: np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-
-    @property
-    def da(self) -> np.ndarray:
-        """Recover (da_1, da_2, da_3) from x via da_i = sqrt(x_j x_k / x_i)."""
-        x1, x2, x3 = self.x
-        prod = x1 * x2 * x3
-        if prod <= 0 or np.any(self.x <= 0):
-            raise DomainError(f"x = {self.x} is not on the principal-orbit locus")
-        root = math.sqrt(prod)
-        return np.array([root / x1, root / x2, root / x3])
-
-    def on_principal_locus(self, params: ModelParams) -> bool:
-        return bool(np.all(self.x > 0)) and eval_lambda(self.y, params) < 0
 
 
 @dataclass(frozen=True)
@@ -63,25 +36,8 @@ class U1State:
     db: float
     param: Param = Param.ARC_LENGTH_T
 
-    def to_full(self) -> FullState:
-        return FullState(
-            y=np.array([self.a, self.a, self.b]),
-            x=np.array([self.da * self.db, self.da * self.db, self.da * self.da]),
-        )
-
     def on_principal_locus(self, params: ModelParams) -> bool:
         return self.da > 0 and self.db > 0 and eval_F(self.a, self.b, params)[0] > 0
-
-
-def u1_from_full(state: FullState) -> U1State:
-    """Project a U(1)-symmetric full state down to (a, b, da, db)."""
-    y, x = state.y, state.x
-    scale_y = max(abs(y[0]), abs(y[1]), 1e-300)
-    scale_x = max(abs(x[0]), abs(x[1]), 1e-300)
-    if abs(y[0] - y[1]) > U1_RTOL * scale_y or abs(x[0] - x[1]) > U1_RTOL * scale_x:
-        raise DomainError("state is not U(1)-symmetric (need x1 = x2, y1 = y2)")
-    da = state.da
-    return U1State(a=float(y[0]), b=float(y[2]), da=float(da[0]), db=float(da[2]))
 
 
 # -- stability quartic -------------------------------------------------------
@@ -184,41 +140,35 @@ def gamma2_margin(a, b, k, m2r03, n2r03):
 # -- Hamiltonian and curvature ----------------------------------------------
 
 
-def hamiltonian(state: FullState | U1State, params: ModelParams) -> float:
-    """H = sqrt(-Lambda(y)) - 2 sqrt(x1 x2 x3); identically zero along the flow."""
-    if isinstance(state, U1State):
-        state = state.to_full()
-    lam = eval_lambda(state.y, params)
-    cushion = BOUNDARY_CUSHION * (1 + lambda_magnitude(state.y, params))
+def _require_arc_length(state: U1State, quantity: str):
+    # an a-parametrized state carries (1, db/da) where (da, db) stand
+    if state.param is not Param.ARC_LENGTH_T:
+        raise DomainError(f"{quantity} needs arc-length derivatives; the state is parametrized by a")
+
+
+def hamiltonian(state: U1State, params: ModelParams) -> float:
+    """H = sqrt(-Lambda(a, a, b)) - 2 sqrt(x1 x1 x2), x1 = da db and x2 = da^2;
+    identically zero along the flow."""
+    _require_arc_length(state, "the Hamiltonian")
+    y = (state.a, state.a, state.b)
+    lam = eval_lambda(y, params)
+    cushion = BOUNDARY_CUSHION * (1 + lambda_magnitude(y, params))
     if lam > cushion:
         raise DomainError(f"Lambda(y) = {lam} > 0: state left the stable-form locus")
-    xprod = float(np.prod(state.x))
+    x1 = state.da * state.db
+    xprod = x1 * x1 * (state.da * state.da)
     if xprod < -cushion:
         raise DomainError(f"x1 x2 x3 = {xprod} < 0: negative radicand")
     return math.sqrt(max(-lam, 0.0)) - 2 * math.sqrt(max(xprod, 0.0))
 
 
-def _grad_terms(y, p, q):
-    """G_i = y_i(-y_i^2 + y_j^2 + y_k^2 - pq) - (p - q) y_j y_k  (= -dLambda/dy_i / 4)."""
-    out = np.empty(3)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        out[i] = y[i] * (-y[i] ** 2 + y[j] ** 2 + y[k] ** 2 - p * q) - (p - q) * y[j] * y[k]
-    return out
-
-
-def mean_curvature(state: FullState | U1State, params: ModelParams) -> float:
+def mean_curvature(state: U1State, params: ModelParams) -> float:
     """Mean curvature of the principal orbit through the state."""
-    if isinstance(state, U1State):
-        if not state.on_principal_locus(params):
-            raise DomainError("U1 state off the principal-orbit locus")
-        f, fa, fb = eval_F(state.a, state.b, params)
-        return (state.da * fa + state.db * fb) / (2 * f)
+    _require_arc_length(state, "the mean curvature")
     if not state.on_principal_locus(params):
-        raise DomainError("full state off the principal-orbit locus")
-    da = state.da
-    g = _grad_terms(state.y, params.p, params.q)
-    return float(np.dot(da, g) / (2 * (da[0] * da[1] * da[2]) ** 2))
+        raise DomainError("U1 state off the principal-orbit locus")
+    f, fa, fb = eval_F(state.a, state.b, params)
+    return (state.da * fa + state.db * fb) / (2 * f)
 
 
 # -- the SU(2)^3 curve ----------------------------------------------------------

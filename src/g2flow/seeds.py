@@ -26,11 +26,11 @@ of the free mode's generator.
 
 This is the only module that knows the families:
 `FAMILIES` maps every accepted name to its canonical family, and
-`SeedSpec.build` is the one dispatch on it.  The `seed_*` constructors
-return each family's native state, a `FullState` for B7, D7 and K(m, n),
-whose series are solved in those coordinates.  Every seed a `SeedSpec`
-describes lies on the U(1) locus a1 = a2, and `SeedSpec.build` always
-returns a `U1State`, so callers never project a seed themselves.
+`SeedSpec.build` is the one dispatch on it.  Every seed lies on the U(1)
+locus a1 = a2, and every `seed_*` constructor returns a `U1State`.  The B7
+and D7 series are solved in the variables x_i = da_j da_k, y_i = a_i of the
+unreduced system, which at alpha1 = alpha2 are symmetric in i = 1, 2 to
+rounding; `_u1_state` reads the U(1) state off them.
 """
 from __future__ import annotations
 
@@ -40,8 +40,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import ConstraintError, ResonanceError, SeedError
-from .invariants import FullState, U1State, hamiltonian, u1_from_full
+from .errors import ConstraintError, DomainError, ResonanceError, SeedError
+from .invariants import U1State, hamiltonian
 from .params import ModelParams
 from .series import ExponentLattice, Series
 
@@ -481,17 +481,21 @@ def cs_linearization_eigen() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # -- seed constructors ---------------------------------------------------------
 
 
-def _check_seed_state(state, params: ModelParams):
-    vol = 0.0
-    if isinstance(state, U1State):
-        vol = 2 * state.da**2 * state.db
-    else:
-        da = state.da
-        vol = 2 * da[0] * da[1] * da[2]
+def _check_seed_state(state: U1State, params: ModelParams) -> U1State:
     h = hamiltonian(state, params)
-    if abs(h) > _SEED_H_TOL * (1.0 + vol):
+    if abs(h) > _SEED_H_TOL * (1.0 + 2 * state.da**2 * state.db):
         raise SeedError(f"seed violates the Hamiltonian constraint: |H| = {abs(h)}")
     return state
+
+
+def _u1_state(x: np.ndarray, y) -> U1State:
+    """The U(1) state at x_i = da_j da_k, y_i = a_i with x1 = x2 and y1 = y2:
+    a = y1, b = y3, da = da_1 and db = da_3, where da_i = sqrt(x1 x2 x3) / x_i."""
+    prod = x[0] * x[1] * x[2]
+    if prod <= 0 or np.any(x <= 0):
+        raise DomainError(f"x = {x} is not on the principal-orbit locus")
+    root = math.sqrt(prod)
+    return U1State(a=float(y[0]), b=float(y[2]), da=float(root / x[0]), db=float(root / x[2]))
 
 
 def _seed_by_ladder(ladder: tuple, t: float, params: ModelParams, solve, state_of):
@@ -500,45 +504,45 @@ def _seed_by_ladder(ladder: tuple, t: float, params: ModelParams, solve, state_o
     The order climbs `ladder` until the series tail at the switch parameter
     t, the emitted state and its Hamiltonian pass their checks; the last
     SeedError is re-raised when no order does.  `solve(order=...)` returns
-    the series solution and `state_of(sol)` the state it emits.
+    the series solution and `state_of(sol)` the state it emits; a series
+    whose tail fails is not evaluated.
     """
     last_exc = None
     for trial in ladder:
         sol = solve(order=trial)
         try:
-            state = state_of(sol)
             _check_series_tail(sol, t)
-            return sol, _check_seed_state(state, params)
+            return sol, _check_seed_state(state_of(sol), params)
         except SeedError as exc:
             last_exc = exc
     raise last_exc
 
 
-def seed_delta_su2(r0, alpha1, alpha2, alpha3, t_switch):
-    """Series and state for the family closing on the diagonal singular S^3."""
+def seed_delta_su2(r0, alpha1, alpha3, t_switch):
+    """Series and state for the family closing on the diagonal singular S^3, at alpha2 = alpha1."""
     params = ModelParams.delta_su2(r0)
-    if abs(64 * r0 * (alpha1 + alpha2 + alpha3) - 1.0) > 1e-12:
-        raise ConstraintError("delta_su2 requires 64 r0 (alpha1 + alpha2 + alpha3) = 1")
-    al = (alpha1, alpha2, alpha3)
+    if abs(64 * r0 * (alpha1 + alpha1 + alpha3) - 1.0) > 1e-12:
+        raise ConstraintError("delta_su2 requires 64 r0 (2 alpha1 + alpha3) = 1")
+    al = (alpha1, alpha1, alpha3)
     y0 = np.array([2 * r0 * (al[1] + al[2]), 2 * r0 * (al[2] + al[0]), 2 * r0 * (al[0] + al[1]), *al])
     t = t_switch
     solve = partial(solve_singular_ivp, _phi_delta_su2(r0), y0, (2.0,), shift_pad=2.0)
 
     def state_of(sol):
         XY = sol.evaluate(t)
-        return FullState(x=r0**2 * t**2 / 4 + t**4 * XY[:3], y=r0**3 + r0 * t**2 / 4 + t**4 * XY[3:])
+        return _u1_state(r0**2 * t**2 / 4 + t**4 * XY[:3], r0**3 + r0 * t**2 / 4 + t**4 * XY[3:])
 
     return _seed_by_ladder(_SMOOTH_LADDER, t, params, solve, state_of)
 
 
-def seed_su2_factor(r0, alpha1, alpha2, alpha3, t_switch):
-    """Series and state for the family closing on the factor singular S^3."""
+def seed_su2_factor(r0, alpha1, alpha3, t_switch):
+    """Series and state for the family closing on the factor singular S^3, at alpha2 = alpha1."""
     params = ModelParams.su2_factor(r0)
-    if min(alpha1, alpha2, alpha3) <= 0:
+    if min(alpha1, alpha3) <= 0:
         raise ConstraintError("su2_factor requires alpha_i > 0")
-    if abs(alpha1 * alpha2 * alpha3 - 1.0) > 1e-12:
-        raise ConstraintError("su2_factor requires alpha1 alpha2 alpha3 = 1")
-    al = (alpha1, alpha2, alpha3)
+    if abs(alpha1 * alpha1 * alpha3 - 1.0) > 1e-12:
+        raise ConstraintError("su2_factor requires alpha1^2 alpha3 = 1")
+    al = (alpha1, alpha1, alpha3)
     y0 = np.array(
         [
             r0**2 * al[1] * al[2] / 4,
@@ -554,12 +558,12 @@ def seed_su2_factor(r0, alpha1, alpha2, alpha3, t_switch):
 
     def state_of(sol):
         XY = sol.evaluate(t)
-        return FullState(x=t**2 * XY[:3], y=t**2 * XY[3:])
+        return _u1_state(t**2 * XY[:3], t**2 * XY[3:])
 
     return _seed_by_ladder(_SMOOTH_LADDER, t, params, solve, state_of)
 
 
-def seed_kmn(m, n, r0, beta, t_switch=0.1):
+def seed_kmn(m, n, r0, beta, t_switch):
     """Series and state for the family closing on the S^2 x S^3 singular orbit."""
     m, n = int(m), int(n)
     params = ModelParams.kmn(m, n, r0)
@@ -581,7 +585,7 @@ def seed_kmn(m, n, r0, beta, t_switch=0.1):
         X1, X3, Y1, Y3 = sol.evaluate(t)
         a = t * Y1
         b = mn3 + t**2 * Y3
-        return FullState(x=np.array([t * X1, t * X1, r0**4 * beta**2 + t**2 * X3]), y=np.array([a, a, b]))
+        return _u1_state(np.array([t * X1, t * X1, r0**4 * beta**2 + t**2 * X3]), (a, a, b))
 
     return _seed_by_ladder(_SMOOTH_LADDER, t, params, solve, state_of)
 
@@ -723,8 +727,7 @@ def cone_state(t: float) -> U1State:
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Declarative description of a seed; `build` produces (params, state, series)
-    and is the one place that projects a seed onto the U(1) system.
+    """Declarative description of a seed; `build` produces (params, state, series).
 
     `family` is any name in `FAMILIES` and reads back as its canonical family.
     Inputs left as None take the family's value in `build`: the B7 alphas
@@ -775,23 +778,15 @@ class SeedSpec:
     def build(self):
         """(params, state, series) of the seed; the series is None for the exact cone.
 
-        The state is always a `U1State`: the 6-D states of B7, D7 and K(m, n)
-        are projected with `u1_from_full`.
+        The state is the `U1State` the family's `seed_*` constructor emits.
         """
-        params, state, sol = self._native()
-        if isinstance(state, FullState):
-            state = u1_from_full(state)
-        return params, state, sol
-
-    def _native(self):
-        """(params, state, series) with the state as its seed constructor emits it."""
         t = self.t_switch
         if self.family == "delta_su2":
             params = ModelParams.delta_su2(self.r0)  # checks r0 before the solve divides by it
             a1, _, a3 = self.alphas
             if a1 is None:  # solve 64 r0 (2 a1 + a3) = 1
                 a1 = (1.0 / (64.0 * self.r0) - a3) / 2.0
-            sol, state = seed_delta_su2(self.r0, a1, a1, a3, t)
+            sol, state = seed_delta_su2(self.r0, a1, a3, t)
             return params, state, sol
         if self.family == "su2_factor":
             a1, _, a3 = self.alphas
@@ -799,7 +794,7 @@ class SeedSpec:
                 if not a3 > 0:
                     raise ConstraintError(f"su2_factor requires alpha3 > 0, got alpha3 = {a3}")
                 a1 = 1.0 / math.sqrt(a3)
-            sol, state = seed_su2_factor(self.r0, a1, a1, a3, t)
+            sol, state = seed_su2_factor(self.r0, a1, a3, t)
             return ModelParams.su2_factor(self.r0), state, sol
         if self.family == "kmn":
             sol, state = seed_kmn(self.m, self.n, self.r0, self.beta, t)

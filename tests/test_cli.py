@@ -234,6 +234,9 @@ class TestFindAcCmd:
         assert (tmp_path / "critical_trajectory.csv").exists()
         cols = read_csv(tmp_path / "critical_trajectory.csv")
         assert cols["a"][-1] < 0.01  # terminates near the corner
+        # the run is parametrized by a: no arc-length derivatives, so no H or mean curvature
+        assert np.all(np.isnan(cols["t"])) and np.all(np.isnan(cols["H"]))
+        assert np.all(np.isnan(cols["mean_curvature"]))
 
     def test_tight_tolerance_is_kept(self, tmp_path):
         rc = main(["find-ac", "--m", "1", "--n", "1", "--tol", "1e-10", "--out-dir", str(tmp_path)])

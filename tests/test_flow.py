@@ -19,7 +19,7 @@ from g2flow.flow import (
     integrate,
     state_to_vec,
 )
-from g2flow.invariants import FullState, Param, U1State, eval_F, hamiltonian, u1_from_full
+from g2flow.invariants import Param, U1State, eval_F, eval_lambda
 from g2flow.params import ModelParams
 from g2flow.seeds import cone_state, seed_ac_end, seed_delta_su2, seed_kmn
 from g2flow.shooter import to_aparam
@@ -30,8 +30,6 @@ SQRT3 = math.sqrt(3.0)
 
 def random_u1_vec(params, rng, lo=0.5, hi=3.0):
     """A random (x1, x2, a, b) with x1, x2 > 0 and Lambda(a, a, b) < -1e-3."""
-    from g2flow.invariants import eval_lambda
-
     while True:
         a, b = rng.uniform(lo, hi, size=2)
         if eval_lambda((a, a, b), params) >= -1e-3:
@@ -40,9 +38,9 @@ def random_u1_vec(params, rng, lo=0.5, hi=3.0):
 
 
 def u1_hamiltonian(z, params):
-    """H of the full state ((x1, x1, x2), (a, a, b)) for z = (x1, x2, a, b)."""
+    """H = sqrt(-Lambda(y)) - 2 sqrt(x1 x2 x3) at x = (x1, x1, x2), y = (a, a, b) for z = (x1, x2, a, b)."""
     x1, x2, a, b = z
-    return hamiltonian(FullState(x=np.array([x1, x1, x2]), y=np.array([a, a, b])), params)
+    return math.sqrt(-eval_lambda((a, a, b), params)) - 2 * math.sqrt(x1 * x1 * x2)
 
 
 def brandhuber_residual(a, b, da, db, dda, ddb, params):
@@ -117,8 +115,8 @@ class TestBrandhuber:
     def test_integrated_trajectory_h2_convergence(self):
         """Divided-difference residual along a numeric B7 trajectory is O(h^2)."""
         params = ModelParams.delta_su2(1.0)
-        _, st = seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.1)
-        traj = integrate(u1_from_full(st), 0.1, params, [], Budget(span=3.0), rtol=1e-12)
+        _, st = seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)
+        traj = integrate(st, 0.1, params, [], Budget(span=3.0), rtol=1e-12)
         resid = []
         for h in (4e-2, 2e-2):
             t0 = 1.5
@@ -142,12 +140,6 @@ class TestIntegrate:
         h, v = traj.hamiltonian_drift()
         assert h <= 1e-9 * (1 + v)
 
-    def test_full_state_seed_is_refused(self):
-        """integrate runs the U(1) system only; a 6-D seed is refused by name."""
-        _, st = seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.1)
-        with pytest.raises(SeedError, match="u1_from_full"):
-            integrate(st, 0.1, ModelParams.delta_su2(1.0), [], Budget(span=1.0))
-
     def test_seed_error_off_locus(self):
         bad = U1State(a=1.0, b=5.0, da=1.0, db=1.0)  # F < 0 for p=q=0
         with pytest.raises(SeedError):
@@ -163,8 +155,8 @@ class TestIntegrate:
         from g2flow.invariants import su2cubed_curve_residual
 
         params = ModelParams.delta_su2(1.0)
-        _, st = seed_delta_su2(1.0, 1 / 192, 1 / 192, 1 / 192, 0.1)
-        traj = integrate(u1_from_full(st), 0.1, params, [], Budget(span=10.0), rtol=1e-11)
+        _, st = seed_delta_su2(1.0, 1 / 192, 1 / 192, 0.1)
+        traj = integrate(st, 0.1, params, [], Budget(span=10.0), rtol=1e-11)
         worst = 0.0
         for x, _, y, _ in traj.zs:  # x1 = da db, y1 = a
             scale = 4 * abs(x) ** 3 + 3 * y**4 + 8 * abs(y) ** 3 + 1
@@ -180,8 +172,7 @@ class TestIntegrate:
         from g2flow.invariants import su2cubed_curve_residual
 
         params = ModelParams.delta_su2(1.0)
-        _, st = seed_delta_su2(1.0, 1 / 192, 1 / 192, 1 / 192, 0.1)
-        u = u1_from_full(st)
+        _, u = seed_delta_su2(1.0, 1 / 192, 1 / 192, 0.1)
         traj = integrate(u, 0.1, params, [], Budget(span=2 * (1800 * u.a) ** (1 / 3)), rtol=1e-11)
         assert traj.zs[-1][2] >= 100 * u.a
         worst = max(
@@ -194,8 +185,7 @@ class TestIntegrate:
     def test_event_localization_tolerance(self):
         """The a = b crossing parameter is located to 1e-10."""
         params = ModelParams.kmn(1, 2, 1.0)
-        _, st = seed_kmn(1, 2, 1.0, 4.0, t_switch=0.05)
-        u = u1_from_full(st)
+        _, u = seed_kmn(1, 2, 1.0, 4.0, t_switch=0.05)
         traj = integrate(
             u, 0.05, params, [StopEvent.make("reaches_a_equals_b")], Budget(span=100.0), rtol=1e-12
         )
@@ -206,8 +196,7 @@ class TestIntegrate:
     def test_hamiltonian_drift_tightens_with_tolerance(self):
         """Tightening rtol by 16x cuts the drift by at least 4x."""
         params = ModelParams.delta_su2(1.0)
-        _, st = seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.1)
-        u = u1_from_full(st)
+        _, u = seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)
         drifts = []
         for rtol in (1e-8, 1e-8 / 16):
             traj = integrate(u, 0.1, params, [], Budget(span=30.0), rtol=rtol)
@@ -220,8 +209,8 @@ class TestIntegrate:
         p2 = ModelParams.kmn(1, 2, lam)
         _, s1 = seed_kmn(1, 2, 1.0, 4.0, t_switch=0.05)
         _, s2 = seed_kmn(1, 2, lam, 4.0, t_switch=lam * 0.05)
-        tr1 = integrate(u1_from_full(s1), 0.05, p1, [], Budget(span=4.0), rtol=1e-12)
-        tr2 = integrate(u1_from_full(s2), lam * 0.05, p2, [], Budget(span=lam * 4.0), rtol=1e-12)
+        tr1 = integrate(s1, 0.05, p1, [], Budget(span=4.0), rtol=1e-12)
+        tr2 = integrate(s2, lam * 0.05, p2, [], Budget(span=lam * 4.0), rtol=1e-12)
         for t in np.linspace(0.3, 7.9, 25):
             z2 = tr2.interpolate(t)
             z1 = tr1.interpolate(t / lam)
@@ -320,13 +309,12 @@ class TestSundmanLeg:
 
 
 def _b7_arc_run():
-    _, st = seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.1)
-    return u1_from_full(st), 0.1, ModelParams.delta_su2(1.0), 3.0
+    _, st = seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)
+    return st, 0.1, ModelParams.delta_su2(1.0), 3.0
 
 
 def _kmn_a_run():
-    _, st = seed_kmn(1, 2, 1.0, 4.0, t_switch=0.05)
-    u = u1_from_full(st)
+    _, u = seed_kmn(1, 2, 1.0, 4.0, t_switch=0.05)
     return U1State(a=u.a, b=u.b, da=1.0, db=u.db / u.da, param=Param.A_EQUALS_S), u.a, ModelParams.kmn(1, 2, 1.0), 2.0
 
 
@@ -376,7 +364,7 @@ class TestDenseOutput:
     def test_event_state_is_read_off_the_step_interpolant(self):
         params = ModelParams.kmn(1, 2, 1.0)
         _, st = seed_kmn(1, 2, 1.0, 4.0, t_switch=0.05)
-        traj = integrate(u1_from_full(st), 0.05, params, [StopEvent.make("reaches_a_equals_b")], Budget(span=100.0))
+        traj = integrate(st, 0.05, params, [StopEvent.make("reaches_a_equals_b")], Budget(span=100.0))
         kind, tp, zv = traj.terminal_event
         assert kind == "reaches_a_equals_b" and tp == traj.ts[-1]
         assert traj.segments[-1].t_min < tp < traj.segments[-1].t_max

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from g2flow.errors import DomainError
 from g2flow.invariants import (
-    FullState,
+    Param,
     U1State,
     eval_F,
     eval_lambda,
@@ -15,19 +15,12 @@ from g2flow.invariants import (
     lambda_magnitude,
     mean_curvature,
     su2cubed_curve_residual,
-    u1_from_full,
 )
 from g2flow.params import ModelParams
 from g2flow.seeds import cone_state
 
 RNG = np.random.default_rng(42)
 SQRT3 = math.sqrt(3.0)
-
-
-def cone_full(t=1.0):
-    C = SQRT3 / 54
-    x = (SQRT3 / 18 * t**2) ** 2
-    return FullState(x=np.array([x, x, x]), y=np.array([C * t**3] * 3))
 
 
 class TestEvalLambda:
@@ -130,20 +123,43 @@ class TestIdentities:
 
 class TestHamiltonian:
     def test_cone_on_shell(self):
-        assert hamiltonian(cone_full(1.0), ModelParams.cone()) == pytest.approx(0.0, abs=1e-15)
+        assert hamiltonian(cone_state(1.0), ModelParams.cone()) == pytest.approx(0.0, abs=1e-15)
 
     def test_direct_value(self):
-        st = FullState(x=np.ones(3), y=np.ones(3))
+        st = U1State(a=1.0, b=1.0, da=1.0, db=1.0)  # x = y = (1, 1, 1)
         assert hamiltonian(st, ModelParams.cone()) == pytest.approx(SQRT3 - 2)
 
     def test_zero_x_on_lambda_zero(self):
-        st = FullState(x=np.zeros(3), y=np.ones(3))
+        st = U1State(a=1.0, b=1.0, da=0.0, db=0.0)
         assert hamiltonian(st, ModelParams.plain(1, -1)) == 0.0
 
     def test_domain_error_off_locus(self):
-        st = FullState(x=np.ones(3), y=np.array([5.0, 0.1, 0.1]))  # Lambda > 0
+        st = U1State(a=0.1, b=5.0, da=1.0, db=1.0)  # Lambda(0.1, 0.1, 5) > 0
         with pytest.raises(DomainError):
             hamiltonian(st, ModelParams.cone())
+
+
+def _mean_curvature_6d(y, da, p, q):
+    """The 6-D formula: sum_i da_i G_i / (2 (da_1 da_2 da_3)^2), G_i = -dLambda/dy_i / 4."""
+    total = 0.0
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        g = y[i] * (-y[i] ** 2 + y[j] ** 2 + y[k] ** 2 - p * q) - (p - q) * y[j] * y[k]
+        total += da[i] * g
+    return total / (2 * (da[0] * da[1] * da[2]) ** 2)
+
+
+class TestArcLengthOnly:
+    """An a-parametrized state holds (1, db/da), not (da, db): H and the mean curvature refuse it."""
+
+    @pytest.mark.parametrize("quantity", [hamiltonian, mean_curvature], ids=["hamiltonian", "mean_curvature"])
+    def test_a_parametrized_state_is_refused(self, quantity):
+        params = ModelParams.kmn(1, 2, 1.0)
+        arc = U1State(a=4.0, b=3.0, da=1.5, db=0.9)
+        assert math.isfinite(quantity(arc, params))
+        a_param = U1State(a=4.0, b=3.0, da=1.0, db=0.9 / 1.5, param=Param.A_EQUALS_S)
+        with pytest.raises(DomainError, match="parametrized by a"):
+            quantity(a_param, params)
 
 
 class TestMeanCurvature:
@@ -159,6 +175,7 @@ class TestMeanCurvature:
         assert mean_curvature(st, params) == pytest.approx((1.0 * fa + 0.5 * fb) / (2 * f))
 
     def test_full_agrees_with_u1_on_symmetric_states(self):
+        """The 6-D formula at y = (a, a, b), da = (da, da, db): an oracle sharing no code with eval_F."""
         params = ModelParams.kmn(1, 2, 1.0)
         for _ in range(50):
             a = RNG.uniform(2.5, 6.0)
@@ -169,9 +186,8 @@ class TestMeanCurvature:
             lam = RNG.uniform(1.1, 2.0)
             db = (math.sqrt(f) / (2 * lam * lam)) ** (1 / 3)
             st = U1State(a=a, b=b, da=lam * db, db=db)
-            assert mean_curvature(st.to_full(), params) == pytest.approx(
-                mean_curvature(st, params), rel=1e-10
-            )
+            oracle = _mean_curvature_6d((a, a, b), (st.da, st.da, st.db), params.p, params.q)
+            assert oracle == pytest.approx(mean_curvature(st, params), rel=1e-10)
 
 
 class TestBryantSalamonCurve:
@@ -186,16 +202,3 @@ class TestBryantSalamonCurve:
     def test_off_curve(self):
         assert su2cubed_curve_residual(0.0, 1.0, ModelParams.cone()) == pytest.approx(-3.0)
 
-
-class TestU1Projection:
-    def test_projection_and_embedding(self):
-        st = U1State(a=1.2, b=0.8, da=0.9, db=0.7)
-        full = st.to_full()
-        back = u1_from_full(full)
-        assert (back.a, back.b) == pytest.approx((st.a, st.b))
-        assert (back.da, back.db) == pytest.approx((st.da, st.db))
-
-    def test_rejects_asymmetric(self):
-        full = FullState(x=np.array([1.0, 1.2, 1.0]), y=np.array([1.0, 1.0, 2.0]))
-        with pytest.raises(DomainError):
-            u1_from_full(full)

@@ -6,7 +6,7 @@ import pytest
 from g2flow import seeds as sd
 from g2flow.errors import ConstraintError, SeedError
 from g2flow.flow import Budget, integrate
-from g2flow.invariants import U1State, hamiltonian, su2cubed_curve_residual, u1_from_full
+from g2flow.invariants import U1State, hamiltonian, su2cubed_curve_residual
 from g2flow.params import ModelParams
 from g2flow.series import ExponentLattice
 from g2flow.seeds import (
@@ -62,12 +62,12 @@ class TestFamilyEigenvalues:
     """The linearizations reproduce the printed determinant factorizations."""
 
     def test_delta_su2(self):
-        sol, _ = seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.1)
+        sol, _ = seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)
         eig = np.sort(np.linalg.eigvals(sol.linearization).real)
         assert eig == pytest.approx([-8, -8, -5, -3, 0, 0], abs=1e-9)
 
     def test_su2_factor(self):
-        sol, _ = seed_su2_factor(1.0, 2**0.25, 2**0.25, 2**-0.5, 0.1)
+        sol, _ = seed_su2_factor(1.0, 2**0.25, 2**-0.5, 0.1)
         eig = np.sort(np.linalg.eigvals(sol.linearization).real)
         assert eig == pytest.approx([-4, -4, -3, -1, 0, 0], abs=1e-9)
 
@@ -83,10 +83,10 @@ class TestEvenLattice:
     @pytest.mark.parametrize(
         "seed, phi, pad",
         [
-            (lambda: seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.1), sd._phi_delta_su2(1.0), 2.0),
-            (lambda: seed_su2_factor(1.0, 2**0.25, 2**0.25, 2**-0.5, 0.1), sd._phi_su2_factor(1.0), 0.0),
-            (lambda: seed_kmn(1, 2, 1.0, 1.0), sd._phi_kmn(1, 2, 1.0, 1.0), 0.0),
-            (lambda: seed_kmn(2, 3, 1.0, 4.4), sd._phi_kmn(2, 3, 1.0, 4.4), 0.0),
+            (lambda: seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1), sd._phi_delta_su2(1.0), 2.0),
+            (lambda: seed_su2_factor(1.0, 2**0.25, 2**-0.5, 0.1), sd._phi_su2_factor(1.0), 0.0),
+            (lambda: seed_kmn(1, 2, 1.0, 1.0, t_switch=0.1), sd._phi_kmn(1, 2, 1.0, 1.0), 0.0),
+            (lambda: seed_kmn(2, 3, 1.0, 4.4, t_switch=0.1), sd._phi_kmn(2, 3, 1.0, 4.4), 0.0),
         ],
         ids=["b7", "d7", "kmn(1,2)", "kmn(2,3)"],
     )
@@ -119,23 +119,22 @@ class TestEvenLattice:
 class TestDeltaSu2:
     def test_constraint_enforced(self):
         with pytest.raises(ConstraintError):
-            seed_delta_su2(1.0, 0.01, 0.01, 0.01, 0.1)
+            seed_delta_su2(1.0, 0.01, 0.01, 0.1)
 
     def test_equal_alpha_on_bryant_salamon_quartic(self):
         params = ModelParams.delta_su2(1.0)
-        _, st = seed_delta_su2(1.0, 1 / 192, 1 / 192, 1 / 192, 0.1)
-        assert abs(su2cubed_curve_residual(st.x[0], st.y[0], params)) < 1e-10
+        _, st = seed_delta_su2(1.0, 1 / 192, 1 / 192, 0.1)
+        assert abs(su2cubed_curve_residual(st.da * st.db, st.a, params)) < 1e-10
 
     def test_sign_pattern_alpha3_below(self):
-        _, st = seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.1)
-        u = u1_from_full(st)
+        _, u = seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)
         assert u.a > u.b and u.da > u.db
 
     def test_leading_coefficients(self):
         # a_i = r0^3 + r0 t^2/4 + alpha_i t^4 + O(t^6)
         r0 = 1.0
         al = (1 / 160, 1 / 160, 1 / 320)
-        sol, _ = seed_delta_su2(r0, *al, 0.1)
+        sol, _ = seed_delta_su2(r0, al[0], al[2], 0.1)
         for t in (0.02, 0.01):
             XY = sol.evaluate(t)
             y = r0**3 + r0 * t**2 / 4 + t**4 * XY[3:]
@@ -146,16 +145,16 @@ class TestDeltaSu2:
 class TestSu2Factor:
     def test_constraint_enforced(self):
         with pytest.raises(ConstraintError):
-            seed_su2_factor(1.0, 1.0, 1.0, 2.0, 0.1)
+            seed_su2_factor(1.0, 1.0, 2.0, 0.1)
         with pytest.raises(ConstraintError):
-            seed_su2_factor(1.0, -1.0, -1.0, 1.0, 0.1)
+            seed_su2_factor(1.0, -1.0, 1.0, 0.1)
 
     def test_remark_t4_coefficients(self):
         # a1 t^4 coefficient: (8 - 5 a3^3)/(576 a1 r0); a3: -(4 - 7a3^3) a3/(576 a1^2 r0)
         r0 = 1.0
         for a3 in (1.0, 0.6, 1.4):
             a1 = 1 / math.sqrt(a3)
-            sol, _ = seed_su2_factor(r0, a1, a1, a3, 0.1)
+            sol, _ = seed_su2_factor(r0, a1, a3, 0.1)
             c2 = coefficient_at(sol, 2.0)
             assert c2[3] == pytest.approx((8 - 5 * a3**3) / (576 * a1 * r0), rel=1e-11)
             assert c2[5] == pytest.approx(-(4 - 7 * a3**3) * a3 / (576 * a1**2 * r0), rel=1e-11, abs=1e-14)
@@ -165,7 +164,7 @@ class TestSu2Factor:
         r0 = 1.0
         a3 = 0.7
         a1 = 1 / math.sqrt(a3)
-        sol, _ = seed_su2_factor(r0, a1, a1, a3, 0.1)
+        sol, _ = seed_su2_factor(r0, a1, a3, 0.1)
         lead = (1 - a3**3) * a3 / (96 * a1)
         vals = []
         for t in (0.02, 0.01):
@@ -182,21 +181,20 @@ class TestSu2Factor:
         assert vals[-1] == pytest.approx(lead, rel=2e-3)
 
     def test_alpha_equal_one_gives_1_over_192(self):
-        sol, _ = seed_su2_factor(1.0, 1.0, 1.0, 1.0, 0.1)
+        sol, _ = seed_su2_factor(1.0, 1.0, 1.0, 0.1)
         assert coefficient_at(sol, 2.0)[3] == pytest.approx(1 / 192, rel=1e-12)
 
     def test_sign_pattern(self):
-        _, st = seed_su2_factor(1.0, 2**0.5, 2**0.5, 0.5, 0.05)
-        u = u1_from_full(st)
+        _, u = seed_su2_factor(1.0, 2**0.5, 0.5, 0.05)
         assert u.a > u.b and u.da > u.db
 
 
 class TestKmn:
     def test_constraints(self):
         with pytest.raises(ConstraintError):
-            seed_kmn(2, 4, 1.0, 1.0)
+            seed_kmn(2, 4, 1.0, 1.0, 0.1)
         with pytest.raises(ConstraintError):
-            seed_kmn(1, 2, 1.0, -1.0)
+            seed_kmn(1, 2, 1.0, -1.0, 0.1)
 
     def test_remark_b_coefficient(self):
         # b(t) = mn r0^3 + sqrt(mn)(m+n)|r0|/(2 beta) t^2 + O(t^4)
@@ -205,7 +203,7 @@ class TestKmn:
 
     def test_explicit_odd_order_checks_the_last_retained_term(self):
         """At order 11 the last retained term is t^10, and at t = 0.4 it is 2e-8, over the 1e-10 bound."""
-        base = seed_kmn(1, 2, 1.0, 2.5)[0].base
+        base = seed_kmn(1, 2, 1.0, 2.5, t_switch=0.1)[0].base
         sol = sd.solve_singular_ivp(sd._phi_kmn(1, 2, 1.0, 2.5), base, (2.0,), 11.0)
         with pytest.raises(SeedError, match="tail estimate"):
             sd._check_series_tail(sol, 0.4)
@@ -213,7 +211,7 @@ class TestKmn:
     def test_hamiltonian_budget(self):
         params = ModelParams.kmn(2, 3, 1.0)
         _, st = seed_kmn(2, 3, 1.0, 4.4, t_switch=0.05)
-        vol = 2 * math.sqrt(np.prod(st.x))
+        vol = 2 * st.da**2 * st.db
         assert abs(hamiltonian(st, params)) <= 1e-10 * (1 + vol)
 
     def test_kmn_seed_b_of_s_expansion(self):
@@ -334,6 +332,53 @@ class TestAcEnd:
             seed_ac_end(ModelParams.kmn(2, 3, 1.0), 1.0, 2.0)
 
 
+def _b7(r0, ratio):
+    a1 = 1.0 / (64.0 * r0 * (2.0 + ratio))
+    return SeedSpec(family="b7", r0=r0, alphas=(a1, a1, ratio * a1))
+
+
+def _d7(r0, alpha3):
+    return SeedSpec(family="d7", r0=r0, alphas=(None, None, alpha3))
+
+
+def _mirror_defect(sol, t):
+    """Relative |x1 - x2| and |y1 - y2| of the series' value at t, the larger of the two."""
+    v = sol.evaluate(t)
+    return max(abs(v[0] - v[1]) / abs(v[0]), abs(v[3] - v[4]) / abs(v[3]))
+
+
+class TestU1Symmetry:
+    """The B7 and D7 series at alpha1 = alpha2 give x1 = x2 and y1 = y2 to an ulp, the
+    locus the U(1) state is read off; nothing checks that when a seed is built.  Not
+    exactly: their high coefficients differ in i = 1, 2 by rounding, which t^e damps
+    below an ulp at the switch parameter."""
+
+    @pytest.mark.parametrize("r0", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "spec",
+        [lambda r0, v=v: _b7(r0, v) for v in (0.2, 1.0, 4.0)] + [lambda r0, v=v: _d7(r0, v) for v in (0.5, 1.0, 2.0)],
+        ids=["b7-0.2", "b7-1", "b7-4", "d7-0.5", "d7-1", "d7-2"],
+    )
+    def test_series_mirror_symmetric(self, spec, r0):
+        seed = spec(r0)
+        _, _, sol = seed.build()
+        for t in (seed.t_switch, seed.t_switch / 2):
+            assert _mirror_defect(sol, t) <= 2 * np.finfo(float).eps
+
+    def test_an_index_asymmetric_term_fails_the_check(self):
+        """The check can fail: a B7 right side with a t^2 forcing on x1 alone breaks the mirror."""
+        sol, _ = seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)
+        phi = sd._phi_delta_su2(1.0)
+
+        def skewed(ys):
+            out = phi(ys)
+            out[0] = out[0] + 1e-6 * sd._mono(ys[0].lattice, ys[0].order, 2)
+            return out
+
+        bent = sd.solve_singular_ivp(skewed, sol.base, (2.0,), sol.truncation_order, shift_pad=2.0)
+        assert _mirror_defect(bent, 0.1) > 1e-8
+
+
 class TestHandoffStability:
     @pytest.mark.parametrize(
         "spec",
@@ -354,8 +399,6 @@ class TestHandoffStability:
         states = []
         for t0 in (t1, t1 / 2):
             params, st, _ = dataclasses.replace(spec, switch_parameter=t0).build()
-            if not hasattr(st, "a"):
-                st = u1_from_full(st)
             traj = integrate(st, t0, params, [], Budget(span=t_check - t0), rtol=1e-12)
             states.append(traj.zs[-1])
         z1, z2 = states
@@ -373,15 +416,15 @@ class TestSeedSpec:
             assert state is not None
 
     def test_u1_state_exactly_on_the_u1_locus(self):
-        """build projects a 6-D seed with u1_from_full, and a seed off the locus is refused."""
+        """build returns the seed constructors' U1State, and a seed off the locus is refused."""
         kmn = ModelParams.kmn(1, 2, 1.0)
         on_locus = [
             (SeedSpec(family="b7", alphas=(1 / 160, 1 / 160, 1 / 320), switch_parameter=0.1),
-             u1_from_full(seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.1)[1])),
+             seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)[1]),
             (SeedSpec(family="d7", alphas=(2**0.5, 2**0.5, 0.5), switch_parameter=0.1),
-             u1_from_full(seed_su2_factor(1.0, 2**0.5, 2**0.5, 0.5, 0.1)[1])),
+             seed_su2_factor(1.0, 2**0.5, 0.5, 0.1)[1]),
             (SeedSpec(family="kmn", m=1, n=2, beta=4.0, switch_parameter=0.05),
-             u1_from_full(seed_kmn(1, 2, 1.0, 4.0, t_switch=0.05)[1])),
+             seed_kmn(1, 2, 1.0, 4.0, t_switch=0.05)[1]),
             (SeedSpec(family="cs", c=1.0, switch_parameter=0.1), seed_cs_end(1.0, 0.1)[1]),
             (SeedSpec(family="ac", m=1, n=2, c=1.0, switch_parameter=10.0), seed_ac_end(kmn, 1.0, 10.0)[1]),
             (SeedSpec(family="cone", switch_parameter=1.0), cone_state(1.0)),

@@ -227,9 +227,9 @@ def per_column_linearization(rhs, y0, lattice, shift_pad):
 
 def _linearization_cases():
     """(Phi, base point, lattice, shift pad) of each seed family."""
-    b7 = sd.seed_delta_su2(1.0, 1 / 160, 1 / 160, 1 / 320, 0.1)[0]
-    d7 = sd.seed_su2_factor(1.0, 2**0.25, 2**0.25, 2**-0.5, 0.1)[0]
-    k12 = sd.seed_kmn(1, 2, 1.0, 1.0)[0]
+    b7 = sd.seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)[0]
+    d7 = sd.seed_su2_factor(1.0, 2**0.25, 2**-0.5, 0.1)[0]
+    k12 = sd.seed_kmn(1, 2, 1.0, 1.0, t_switch=0.1)[0]
     end = ModelParams.kmn(1, 2, 1.0)
     ac = sd._ac_series_unit(end.p, end.q, 15.0)
     return {

@@ -8,7 +8,7 @@ from g2flow import dop853, shooter
 from g2flow.dop853 import brentq
 from g2flow.errors import BracketError, ClosureError, SeedError
 from g2flow.flow import Budget, StopEvent, _margin_fn, integrate
-from g2flow.invariants import Param, U1State, u1_from_full
+from g2flow.invariants import Param, U1State
 from g2flow.params import ModelParams
 from g2flow.seeds import NUINF, seed_ac_end, seed_kmn
 from g2flow.shooter import (
@@ -86,7 +86,7 @@ class TestClosure:
         m, n, r0, beta = 1, 2, 1.0, 1.0
         params = ModelParams.kmn(m, n, r0)
         _, st = seed_kmn(m, n, r0, beta, t_switch=0.02)
-        seed = to_aparam(u1_from_full(st))
+        seed = to_aparam(st)
         # forward in s (staying clear of the F = 0 wall), then reverse to the corner
         fwd = integrate(seed, seed.a, params, [], Budget(span=0.4), rtol=1e-12)
         end = U1State(a=fwd.ts[-1], b=fwd.zs[-1][0], da=1.0, db=fwd.zs[-1][1], param=Param.A_EQUALS_S)
@@ -137,7 +137,7 @@ class TestNoCross:
         trajs = []
         for beta in (3.0, 4.0):
             _, st = seed_kmn(1, 2, 1.0, beta, t_switch=0.02)
-            seed = to_aparam(u1_from_full(st))
+            seed = to_aparam(st)
             trajs.append(integrate(seed, seed.a, params, [], Budget(span=2.0), rtol=1e-11))
         lo = max(trajs[0].ts[0], trajs[1].ts[0]) * 1.3
         hi = min(trajs[0].ts[-1], trajs[1].ts[-1]) * 0.9
