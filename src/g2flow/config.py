@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -63,12 +64,30 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     data.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        cfg = RunConfig(**{k: v for k, v in data.items() if k in known})
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    for f in fields(RunConfig):
+        if f.name in data:
+            _check_type(f.name, f.type, data[f.name])
+    cfg = RunConfig(**data)
     _validate(cfg)
     return cfg
+
+
+# the values each annotation of a RunConfig field admits; an int stands for a float
+_ADMITS = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def _check_type(name: str, annotation: str, value):
+    kinds = annotation.split(" | ")
+    if value is None:
+        ok = "None" in kinds
+    else:
+        # bool subclasses int, and true must not pass as m = 1 or tol = 1.0
+        ok = (not isinstance(value, bool) or "bool" in kinds) and any(
+            isinstance(value, _ADMITS[k]) for k in kinds if k != "None"
+        )
+    if not ok or (isinstance(value, float) and not math.isfinite(value)):
+        wanted = " or ".join("finite float" if k == "float" else k for k in kinds)
+        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
 
 
 def _validate(cfg: RunConfig):

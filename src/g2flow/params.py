@@ -53,7 +53,7 @@ class ModelParams:
 
     @classmethod
     def kmn(cls, m: int, n: int, r0: float) -> ModelParams:
-        if m <= 0 or n <= 0 or math.gcd(int(m), int(n)) != 1:
+        if not all(float(k).is_integer() and k > 0 for k in (m, n)) or math.gcd(int(m), int(n)) != 1:
             raise ConstraintError(f"(m, n) = ({m}, {n}) must be coprime positive integers")
         _check_r0("kmn", r0)
         return cls(p=-(m * m) * r0**3, q=(n * n) * r0**3, r0=float(r0))

@@ -27,10 +27,10 @@ of the free mode's generator.
 This is the only module that knows the families:
 `FAMILIES` maps every accepted name to its canonical family, and
 `SeedSpec.build` is the one dispatch on it.  Every seed lies on the U(1)
-locus a1 = a2, and every `seed_*` constructor returns a `U1State`.  The B7
-and D7 series are solved in the variables x_i = da_j da_k, y_i = a_i of the
-unreduced system, which at alpha1 = alpha2 are symmetric in i = 1, 2 to
-rounding; `_u1_state` reads the U(1) state off them.
+locus a1 = a2, and every `seed_*` constructor returns a `U1State`.  The B7,
+D7 and K(m, n) series are solved on that locus, in four unknowns blown up
+from x1 = da db, x3 = da^2, a and b, and `_u1_state` is their one map to the
+state.
 """
 from __future__ import annotations
 
@@ -307,64 +307,58 @@ def _down(series: Series, e: float, tol: float) -> Series:
 
 
 def _phi_delta_su2(r0: float):
-    """Blow-up x_i = r0^2 t^2/4 + t^4 X_i, y_i = r0^3 + r0 t^2/4 + t^4 Y_i."""
+    """U(1) blow-up x1 = r0^2 t^2/4 + t^4 X1, x3 = r0^2 t^2/4 + t^4 X3,
+    a = r0^3 + r0 t^2/4 + t^4 Y1, b = r0^3 + r0 t^2/4 + t^4 Y3."""
 
     def rhs(ys: list[Series]) -> list[Series]:
         lat, order = ys[0].lattice, ys[0].order
-        X, Y = ys[:3], ys[3:]
+        X1, X3, Y1, Y3 = ys
         t2 = _mono(lat, order, 2)
         t4 = _mono(lat, order, 4)
         tol = _SHIFT_TOL * max(1.0, r0**5)
-        V = 4 * r0**3 + 0.75 * r0 * t2 + t4 * (Y[0] + Y[1] + Y[2])
-        W = [r0 / 4.0 - t2 * (Y[i] - Y[(i + 1) % 3] - Y[(i + 2) % 3]) for i in range(3)]
-        R = (V * W[0] * W[1] * W[2]).sqrt()
-        out_x = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            num = t2 * (W[0] * W[1] * W[2]) + V * (W[i] * W[j] + W[i] * W[k] - W[j] * W[k])
-            Ai = 0.5 * num / R
-            Ai = Ai - Ai.const  # constant r0^2/2 cancels the t^2 pole exactly
-            out_x.append(_down(Ai, 2, tol * max(1.0, Ai.magnitude())) - 4 * X[i])
-        u = [1.0 + (4.0 / r0**2) * t2 * X[i] for i in range(3)]
-        RU = (u[0] * u[1] * u[2]).sqrt()
-        out_y = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            Ei = u[j] * u[k] / RU
-            Ei = Ei - Ei.const
-            out_y.append((r0 / 2.0) * _down(Ei, 2, tol * max(1.0, Ei.magnitude())) - 4 * Y[i])
-        return out_x + out_y
+        V = 4 * r0**3 + 0.75 * r0 * t2 + t4 * (2 * Y1 + Y3)
+        W1 = r0 / 4.0 + t2 * Y3
+        W3 = r0 / 4.0 - t2 * (Y3 - 2 * Y1)
+        RVW = (V * W3).sqrt()
+        A1 = 0.5 * W1 * (V + t2 * W3) / RVW
+        A3 = 0.5 * (V * (2 * W3 - W1) + t2 * (W1 * W3)) / RVW
+        E1 = (1.0 + (4.0 / r0**2) * t2 * X3).sqrt()
+        E3 = (1.0 + (4.0 / r0**2) * t2 * X1) / E1
+        # the constants r0^2/2 of A_i and 1 of E_i cancel the t^2 poles exactly
+        A1, A3, E1, E3 = (f - f.const for f in (A1, A3, E1, E3))
+        return [
+            _down(A1, 2, tol * max(1.0, A1.magnitude())) - 4 * X1,
+            _down(A3, 2, tol * max(1.0, A3.magnitude())) - 4 * X3,
+            (r0 / 2.0) * _down(E1, 2, tol * max(1.0, E1.magnitude())) - 4 * Y1,
+            (r0 / 2.0) * _down(E3, 2, tol * max(1.0, E3.magnitude())) - 4 * Y3,
+        ]
 
     return rhs
 
 
 def _phi_su2_factor(r0: float):
-    """Blow-up x_i = t^2 X_i, y_i = t^2 Y_i with p = -r0^3, q = 0."""
+    """U(1) blow-up x1 = t^2 X1, x3 = t^2 X3, a = t^2 Y1, b = t^2 Y3 with p = -r0^3, q = 0."""
 
     def rhs(ys: list[Series]) -> list[Series]:
         lat, order = ys[0].lattice, ys[0].order
-        X, Y = ys[:3], ys[3:]
+        X1, X3, Y1, Y3 = ys
         t2 = _mono(lat, order, 2)
-        quart = (Y[0] - Y[1] - Y[2]) * (Y[0] + Y[1] + Y[2]) * (Y[0] - Y[1] + Y[2]) * (Y[0] + Y[1] - Y[2])
-        GL = 4 * r0**3 * (Y[0] * Y[1] * Y[2]) - t2 * quart
+        Y11, Y33 = Y1 * Y1, Y3 * Y3
+        GL = 4 * r0**3 * (Y11 * Y3) + t2 * Y33 * (4 * Y11 - Y33)
         RL = GL.sqrt()
-        out_x = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            Gt = r0**3 * (Y[j] * Y[k]) + t2 * Y[i] * (Y[j] * Y[j] + Y[k] * Y[k] - Y[i] * Y[i])
-            out_x.append(2 * Gt / RL - 2 * X[i])
-        RX = (X[0] * X[1] * X[2]).sqrt()
-        out_y = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            out_y.append(X[j] * X[k] / RX - 2 * Y[i])
-        return out_x + out_y
+        RX3 = X3.sqrt()
+        return [
+            2 * (Y1 * Y3) * (r0**3 + t2 * Y3) / RL - 2 * X1,
+            2 * (r0**3 * Y11 + t2 * Y3 * (2 * Y11 - Y33)) / RL - 2 * X3,
+            RX3 - 2 * Y1,
+            X1 / RX3 - 2 * Y3,
+        ]
 
     return rhs
 
 
 def _phi_kmn(m: int, n: int, r0: float, beta: float):
-    """U(1) blow-up x1 = t X1, x2 = r0^4 b^2 + t^2 X3, a = t Y1, b = mn r0^3 + t^2 Y3."""
+    """U(1) blow-up x1 = t X1, x3 = r0^4 beta^2 + t^2 X3, a = t Y1, b = mn r0^3 + t^2 Y3."""
     p = -(m * m) * r0**3
     q = (n * n) * r0**3
     mn3 = m * n * r0**3
@@ -488,14 +482,12 @@ def _check_seed_state(state: U1State, params: ModelParams) -> U1State:
     return state
 
 
-def _u1_state(x: np.ndarray, y) -> U1State:
-    """The U(1) state at x_i = da_j da_k, y_i = a_i with x1 = x2 and y1 = y2:
-    a = y1, b = y3, da = da_1 and db = da_3, where da_i = sqrt(x1 x2 x3) / x_i."""
-    prod = x[0] * x[1] * x[2]
-    if prod <= 0 or np.any(x <= 0):
-        raise DomainError(f"x = {x} is not on the principal-orbit locus")
-    root = math.sqrt(prod)
-    return U1State(a=float(y[0]), b=float(y[2]), da=float(root / x[0]), db=float(root / x[2]))
+def _u1_state(x1: float, x3: float, a: float, b: float) -> U1State:
+    """The U(1) state at x1 = da db and x3 = da^2."""
+    if not (x1 > 0 and x3 > 0):
+        raise DomainError(f"(x1, x3) = ({x1}, {x3}) is not on the principal-orbit locus")
+    da = math.sqrt(x3)
+    return U1State(a=float(a), b=float(b), da=float(da), db=float(x1 / da))
 
 
 def _seed_by_ladder(ladder: tuple, t: float, params: ModelParams, solve, state_of):
@@ -523,14 +515,14 @@ def seed_delta_su2(r0, alpha1, alpha3, t_switch):
     params = ModelParams.delta_su2(r0)
     if abs(64 * r0 * (alpha1 + alpha1 + alpha3) - 1.0) > 1e-12:
         raise ConstraintError("delta_su2 requires 64 r0 (2 alpha1 + alpha3) = 1")
-    al = (alpha1, alpha1, alpha3)
-    y0 = np.array([2 * r0 * (al[1] + al[2]), 2 * r0 * (al[2] + al[0]), 2 * r0 * (al[0] + al[1]), *al])
+    y0 = np.array([2 * r0 * (alpha1 + alpha3), 4 * r0 * alpha1, alpha1, alpha3])
     t = t_switch
     solve = partial(solve_singular_ivp, _phi_delta_su2(r0), y0, (2.0,), shift_pad=2.0)
 
     def state_of(sol):
-        XY = sol.evaluate(t)
-        return _u1_state(r0**2 * t**2 / 4 + t**4 * XY[:3], r0**3 + r0 * t**2 / 4 + t**4 * XY[3:])
+        X1, X3, Y1, Y3 = sol.evaluate(t)
+        x, y = r0**2 * t**2 / 4, r0**3 + r0 * t**2 / 4
+        return _u1_state(x + t**4 * X1, x + t**4 * X3, y + t**4 * Y1, y + t**4 * Y3)
 
     return _seed_by_ladder(_SMOOTH_LADDER, t, params, solve, state_of)
 
@@ -542,30 +534,18 @@ def seed_su2_factor(r0, alpha1, alpha3, t_switch):
         raise ConstraintError("su2_factor requires alpha_i > 0")
     if abs(alpha1 * alpha1 * alpha3 - 1.0) > 1e-12:
         raise ConstraintError("su2_factor requires alpha1^2 alpha3 = 1")
-    al = (alpha1, alpha1, alpha3)
-    y0 = np.array(
-        [
-            r0**2 * al[1] * al[2] / 4,
-            r0**2 * al[2] * al[0] / 4,
-            r0**2 * al[0] * al[1] / 4,
-            r0 * al[0] / 4,
-            r0 * al[1] / 4,
-            r0 * al[2] / 4,
-        ]
-    )
+    y0 = np.array([r0**2 * alpha1 * alpha3 / 4, r0**2 * alpha1 * alpha1 / 4, r0 * alpha1 / 4, r0 * alpha3 / 4])
     t = t_switch
     solve = partial(solve_singular_ivp, _phi_su2_factor(r0), y0, (2.0,))
 
     def state_of(sol):
-        XY = sol.evaluate(t)
-        return _u1_state(t**2 * XY[:3], t**2 * XY[3:])
+        return _u1_state(*(t**2 * sol.evaluate(t)))
 
     return _seed_by_ladder(_SMOOTH_LADDER, t, params, solve, state_of)
 
 
 def seed_kmn(m, n, r0, beta, t_switch):
     """Series and state for the family closing on the S^2 x S^3 singular orbit."""
-    m, n = int(m), int(n)
     params = ModelParams.kmn(m, n, r0)
     if beta is None or beta <= 0:
         raise ConstraintError("kmn requires beta > 0")
@@ -583,9 +563,7 @@ def seed_kmn(m, n, r0, beta, t_switch):
 
     def state_of(sol):
         X1, X3, Y1, Y3 = sol.evaluate(t)
-        a = t * Y1
-        b = mn3 + t**2 * Y3
-        return _u1_state(np.array([t * X1, t * X1, r0**4 * beta**2 + t**2 * X3]), (a, a, b))
+        return _u1_state(t * X1, r0**4 * beta**2 + t**2 * X3, t * Y1, mn3 + t**2 * Y3)
 
     return _seed_by_ladder(_SMOOTH_LADDER, t, params, solve, state_of)
 

@@ -43,6 +43,38 @@ class TestConfig:
         assert c1.hash() == c2.hash()
         assert c1.hash() != RunConfig(family="cone", t_switch=2.0).hash()
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"tol": "1e-6"},
+            {"rtol": None},
+            {"k": "1.5"},
+            {"m": 1.5},
+            {"n": True},
+            {"max_steps": 1e5},
+            {"seed": "7"},
+            {"r0": False},
+            {"quick": 1},
+            {"family": 7},
+            {"rtol": math.nan},
+            {"c": math.nan},
+            {"r0": math.inf},
+        ],
+        ids=lambda entry: f"{next(iter(entry))}={next(iter(entry.values()))!r}",
+    )
+    def test_value_of_the_wrong_type_or_not_finite_exits_2(self, tmp_path, capsys, entry):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"family": "cone", **entry}))
+        assert main(["--config", str(cfgfile), "classify", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and next(iter(entry)) in err
+
+    def test_an_int_stands_for_a_float(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"r0": 2, "alpha3": None, "t_switch": 1}))
+        cfg = load_config(str(cfgfile), {})
+        assert (cfg.r0, cfg.alpha3, cfg.t_switch) == (2, None, 1)
+
     def test_bad_tolerance_exit_code(self, tmp_path):
         rc = main(["solve", "--family", "cone", "--tol", "-1", "--out-dir", str(tmp_path)])
         assert rc == 2

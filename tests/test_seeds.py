@@ -59,17 +59,17 @@ class TestCsEigen:
 
 
 class TestFamilyEigenvalues:
-    """The linearizations reproduce the printed determinant factorizations."""
+    """The linearizations reproduce the printed determinant factorizations, on the U(1) subspace."""
 
     def test_delta_su2(self):
         sol, _ = seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)
         eig = np.sort(np.linalg.eigvals(sol.linearization).real)
-        assert eig == pytest.approx([-8, -8, -5, -3, 0, 0], abs=1e-9)
+        assert eig == pytest.approx([-8, -5, -3, 0], abs=1e-9)
 
     def test_su2_factor(self):
         sol, _ = seed_su2_factor(1.0, 2**0.25, 2**-0.5, 0.1)
         eig = np.sort(np.linalg.eigvals(sol.linearization).real)
-        assert eig == pytest.approx([-4, -4, -3, -1, 0, 0], abs=1e-9)
+        assert eig == pytest.approx([-4, -3, -1, 0], abs=1e-9)
 
     def test_kmn(self):
         sol, _ = seed_kmn(1, 2, 1.0, 1.0, t_switch=0.05)
@@ -137,8 +137,8 @@ class TestDeltaSu2:
         sol, _ = seed_delta_su2(r0, al[0], al[2], 0.1)
         for t in (0.02, 0.01):
             XY = sol.evaluate(t)
-            y = r0**3 + r0 * t**2 / 4 + t**4 * XY[3:]
-            model = r0**3 + r0 * t**2 / 4 + np.array(al) * t**4
+            y = r0**3 + r0 * t**2 / 4 + t**4 * XY[2:]
+            model = r0**3 + r0 * t**2 / 4 + np.array(al[1:]) * t**4
             assert np.max(np.abs(y - model)) < 5.0 * t**6
 
 
@@ -156,8 +156,8 @@ class TestSu2Factor:
             a1 = 1 / math.sqrt(a3)
             sol, _ = seed_su2_factor(r0, a1, a3, 0.1)
             c2 = coefficient_at(sol, 2.0)
-            assert c2[3] == pytest.approx((8 - 5 * a3**3) / (576 * a1 * r0), rel=1e-11)
-            assert c2[5] == pytest.approx(-(4 - 7 * a3**3) * a3 / (576 * a1**2 * r0), rel=1e-11, abs=1e-14)
+            assert c2[2] == pytest.approx((8 - 5 * a3**3) / (576 * a1 * r0), rel=1e-11)
+            assert c2[3] == pytest.approx(-(4 - 7 * a3**3) * a3 / (576 * a1**2 * r0), rel=1e-11, abs=1e-14)
 
     def test_d7_cross_term_coefficient(self):
         """da b - a db = (1 - a3^3) a3/(96 a1) t^5 + O(t^7)."""
@@ -169,20 +169,20 @@ class TestSu2Factor:
         vals = []
         for t in (0.02, 0.01):
             X = sol.evaluate(t)
-            a = t**2 * X[3]
-            b = t**2 * X[5]
+            a = t**2 * X[2]
+            b = t**2 * X[3]
             # derivatives of a = t^2 Y1(t): da = 2t Y1 + t^2 Y1'
             h = 1e-7
             Xp = sol.evaluate(t + h)
             Xm = sol.evaluate(t - h)
-            da = 2 * t * X[3] + t**2 * (Xp[3] - Xm[3]) / (2 * h)
-            db = 2 * t * X[5] + t**2 * (Xp[5] - Xm[5]) / (2 * h)
+            da = 2 * t * X[2] + t**2 * (Xp[2] - Xm[2]) / (2 * h)
+            db = 2 * t * X[3] + t**2 * (Xp[3] - Xm[3]) / (2 * h)
             vals.append((da * b - a * db) / t**5)
         assert vals[-1] == pytest.approx(lead, rel=2e-3)
 
     def test_alpha_equal_one_gives_1_over_192(self):
         sol, _ = seed_su2_factor(1.0, 1.0, 1.0, 0.1)
-        assert coefficient_at(sol, 2.0)[3] == pytest.approx(1 / 192, rel=1e-12)
+        assert coefficient_at(sol, 2.0)[2] == pytest.approx(1 / 192, rel=1e-12)
 
     def test_sign_pattern(self):
         _, u = seed_su2_factor(1.0, 2**0.5, 0.5, 0.05)
@@ -341,42 +341,68 @@ def _d7(r0, alpha3):
     return SeedSpec(family="d7", r0=r0, alphas=(None, None, alpha3))
 
 
-def _mirror_defect(sol, t):
-    """Relative |x1 - x2| and |y1 - y2| of the series' value at t, the larger of the two."""
-    v = sol.evaluate(t)
-    return max(abs(v[0] - v[1]) / abs(v[0]), abs(v[3] - v[4]) / abs(v[3]))
+# (a, b, da, db) of the B7 seeds at ratio alpha3/alpha1 and the D7 seeds at alpha3,
+# at the default switch parameter 0.1 r0, as the 6-unknown series read back through
+# sqrt(x1 x2 x3) gave them
+FINGERPRINT = {
+    ("b7", 0.2, 0.5): (0.12531258875763937, 0.12531251774459226, 0.012507099780863135, 0.012501419124109242),
+    ("b7", 0.2, 1.0): (1.002500710061115, 1.002500141956738, 0.05002839912345254, 0.05000567649643697),
+    ("b7", 0.2, 2.0): (8.02000568048892, 8.020001135653905, 0.20011359649381016, 0.20002270598574787),
+    ("b7", 1.0, 0.5): (0.12531256508518981, 0.12531256508518981, 0.012505206056584449, 0.012505206056584449),
+    ("b7", 1.0, 1.0): (1.0025005206815185, 1.0025005206815185, 0.050020824226337794, 0.050020824226337794),
+    ("b7", 1.0, 2.0): (8.020004165452148, 8.020004165452148, 0.20008329690535118, 0.20008329690535118),
+    ("b7", 4.0, 0.5): (0.12531253251682267, 0.12531263023006936, 0.012502599935551932, 0.012510419276376037),
+    ("b7", 4.0, 1.0): (1.0025002601345814, 1.0025010418405549, 0.05001039974220773, 0.05004167710550415),
+    ("b7", 4.0, 2.0): (8.020002081076651, 8.020008334724439, 0.20004159896883092, 0.2001667084220166),
+    ("d7", 0.5, 0.5): (0.0004420548772390167, 0.0001562330578161902, 0.01768671937633402, 0.006248645105920386),
+    ("d7", 0.5, 1.0): (0.0035364390179121337, 0.0012498644625295217, 0.07074687750533608, 0.024994580423681544),
+    ("d7", 0.5, 2.0): (0.02829151214329707, 0.009998915700236173, 0.2829875100213443, 0.09997832169472617),
+    ("d7", 1.0, 0.5): (0.0003125650851898098, 0.0003125650851898098, 0.012505206056584449, 0.012505206056584449),
+    ("d7", 1.0, 1.0): (0.0025005206815184784, 0.0025005206815184784, 0.050020824226337794, 0.050020824226337794),
+    ("d7", 1.0, 2.0): (0.020004165452147827, 0.020004165452147827, 0.20008329690535118, 0.20008329690535118),
+    ("d7", 2.0, 0.5): (0.0002199737634862634, 0.0006296042696529259, 0.008758453131534154, 0.025372053278172466),
+    ("d7", 2.0, 1.0): (0.0017597901078901072, 0.0050368341572234075, 0.03503381252613662, 0.10148821311268987),
+    ("d7", 2.0, 2.0): (0.014078320863120858, 0.04029467325778726, 0.14013525010454647, 0.40595285245075946),
+}
+_MAKE = {"b7": _b7, "d7": _d7}
 
 
-class TestU1Symmetry:
-    """The B7 and D7 series at alpha1 = alpha2 give x1 = x2 and y1 = y2 to an ulp, the
-    locus the U(1) state is read off; nothing checks that when a seed is built.  Not
-    exactly: their high coefficients differ in i = 1, 2 by rounding, which t^e damps
-    below an ulp at the switch parameter."""
+def _fingerprint_ulps(family, value, r0):
+    """The largest distance of the seed's (a, b, da, db) from its pinned value, in ulps of the pin."""
+    _, st, _ = _MAKE[family](r0, value).build()
+    pinned = FINGERPRINT[family, value, r0]
+    return max(abs(x - p) / np.spacing(p) for x, p in zip((st.a, st.b, st.da, st.db), pinned))
+
+
+class TestSeedFingerprint:
+    """The B7 and D7 seeds keep their pinned states to 2 ulps: the series agree bit for
+    bit, and da = sqrt(x3), db = x1/da round differently from sqrt(x1 x2 x3)/x_i."""
 
     @pytest.mark.parametrize("r0", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize(
-        "spec",
-        [lambda r0, v=v: _b7(r0, v) for v in (0.2, 1.0, 4.0)] + [lambda r0, v=v: _d7(r0, v) for v in (0.5, 1.0, 2.0)],
+        "family, value",
+        [("b7", 0.2), ("b7", 1.0), ("b7", 4.0), ("d7", 0.5), ("d7", 1.0), ("d7", 2.0)],
         ids=["b7-0.2", "b7-1", "b7-4", "d7-0.5", "d7-1", "d7-2"],
     )
-    def test_series_mirror_symmetric(self, spec, r0):
-        seed = spec(r0)
-        _, _, sol = seed.build()
-        for t in (seed.t_switch, seed.t_switch / 2):
-            assert _mirror_defect(sol, t) <= 2 * np.finfo(float).eps
+    def test_state_matches_the_pinned_value(self, family, value, r0):
+        assert _fingerprint_ulps(family, value, r0) <= 2
 
-    def test_an_index_asymmetric_term_fails_the_check(self):
-        """The check can fail: a B7 right side with a t^2 forcing on x1 alone breaks the mirror."""
-        sol, _ = seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)
-        phi = sd._phi_delta_su2(1.0)
+    def test_a_perturbed_right_side_fails_the_check(self, monkeypatch):
+        """The check can fail: a 1e-9 t^2 forcing on X1 alone moves the B7 seed off its pin."""
+        phi = sd._phi_delta_su2
 
-        def skewed(ys):
-            out = phi(ys)
-            out[0] = out[0] + 1e-6 * sd._mono(ys[0].lattice, ys[0].order, 2)
-            return out
+        def skewed(r0):
+            rhs = phi(r0)
 
-        bent = sd.solve_singular_ivp(skewed, sol.base, (2.0,), sol.truncation_order, shift_pad=2.0)
-        assert _mirror_defect(bent, 0.1) > 1e-8
+            def bent(ys):
+                out = rhs(ys)
+                out[0] = out[0] + 1e-9 * sd._mono(ys[0].lattice, ys[0].order, 2)
+                return out
+
+            return bent
+
+        monkeypatch.setattr(sd, "_phi_delta_su2", skewed)
+        assert _fingerprint_ulps("b7", 0.2, 1.0) > 2
 
 
 class TestHandoffStability:
@@ -473,3 +499,14 @@ class TestSeedSpec:
 def test_every_family_requires_positive_r0(family, r0):
     with pytest.raises(ConstraintError, match="r0"):
         family(r0)
+
+
+@pytest.mark.parametrize("m, n", [(1.5, 2), (1, 2.5), (math.nan, 1)])
+def test_kmn_requires_integral_m_n(m, n):
+    """A non-integral (m, n) is refused, not truncated to int: K(1.5, 2) is no K(1, 2)."""
+    with pytest.raises(ConstraintError, match="\\(m, n\\)"):
+        ModelParams.kmn(m, n, 1.0)
+    with pytest.raises(ConstraintError, match="\\(m, n\\)"):
+        SeedSpec(family="kmn", m=m, n=n, beta=4.0).build()
+    with pytest.raises(ConstraintError, match="\\(m, n\\)"):
+        seed_kmn(m, n, 1.0, 4.0, 0.1)
