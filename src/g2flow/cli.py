@@ -218,6 +218,7 @@ def cmd_figure1(cfg: RunConfig) -> dict:
     beta_back = (find_c_ac(m, n, r0, tol=tol, k=cfg.k, rtol=cfg.rtol).closure or {}).get("beta")
     closes = beta_back is not None and abs(beta_back - beta_ac) <= max(tol, BETA_GAP) * beta_ac
     params = ModelParams.kmn(m, n, r0)
+    s3 = r0**3
     ladder = [0.35, 0.6, 0.85, 1.0, 1.6, 3.0]
     os.makedirs(cfg.out_dir, exist_ok=True)
     curves = []
@@ -226,10 +227,12 @@ def cmd_figure1(cfg: RunConfig) -> dict:
         if frac == 1.0:
             tag = "AC" if closes else "Indeterminate"
         else:
-            side, _ = forward_shot(m, n, r0, beta, rtol=cfg.rtol)
+            side, _ = forward_shot(m, n, beta, rtol=cfg.rtol)
             tag = {"alc": "ALC", "incomplete": "Incomplete"}.get(side, "Indeterminate")
-        seed = forward_seed(m, n, r0, beta)
-        span = 12.0 * r0**3 * m * n
+        # the forward seed is at r0 = 1: a and b scale as r0^3, mu = db/da not
+        seed = forward_seed(m, n, beta)
+        seed = replace(seed, a=seed.a * s3, b=seed.b * s3)
+        span = 12.0 * s3 * m * n
         traj = integrate(seed, seed.a, params, DEGENERATION_STOPS, Budget(span=span), rtol=cfg.rtol)
         fname = f"curve_{i:02d}_{tag.lower()}.csv"
         write_trajectory_csv(os.path.join(cfg.out_dir, fname), traj)
@@ -278,11 +281,14 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="g2flow", description=__doc__)
-    ap.add_argument("--config", help="JSON config file (or set G2FLOW_CONFIG)")
+    config_help = "JSON config file (or set G2FLOW_CONFIG)"
+    ap.add_argument("--config", help=config_help)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name):
         sp = sub.add_parser(name)
+        # SUPPRESS: unset after the subcommand, it leaves a --config given before it
+        sp.add_argument("--config", default=argparse.SUPPRESS, help=config_help)
         sp.add_argument("--family")
         sp.add_argument("--m", type=int)
         sp.add_argument("--n", type=int)

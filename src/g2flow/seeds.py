@@ -31,6 +31,10 @@ locus a1 = a2, and every `seed_*` constructor returns a `U1State`.  The B7,
 D7 and K(m, n) series are solved on that locus, in four unknowns blown up
 from x1 = da db, x3 = da^2, a and b, and `_u1_state` is their one map to the
 state.
+
+The B7, D7 and K(m, n) right sides and constructors work at unit orbit size.
+The orbit size r0 is a unit of length, in which t scales as r0, a and b as
+r0^3 and da and db as r0^2, and `SeedSpec.build` alone converts to r0 units.
 """
 from __future__ import annotations
 
@@ -306,50 +310,49 @@ def _down(series: Series, e: float, tol: float) -> Series:
     return series.shift_down(_index(series.lattice, e), tol)
 
 
-def _phi_delta_su2(r0: float):
-    """U(1) blow-up x1 = r0^2 t^2/4 + t^4 X1, x3 = r0^2 t^2/4 + t^4 X3,
-    a = r0^3 + r0 t^2/4 + t^4 Y1, b = r0^3 + r0 t^2/4 + t^4 Y3."""
+def _phi_delta_su2():
+    """U(1) blow-up x1 = t^2/4 + t^4 X1, x3 = t^2/4 + t^4 X3,
+    a = 1 + t^2/4 + t^4 Y1, b = 1 + t^2/4 + t^4 Y3."""
 
     def rhs(ys: list[Series]) -> list[Series]:
         lat, order = ys[0].lattice, ys[0].order
         X1, X3, Y1, Y3 = ys
         t2 = _mono(lat, order, 2)
         t4 = _mono(lat, order, 4)
-        tol = _SHIFT_TOL * max(1.0, r0**5)
-        V = 4 * r0**3 + 0.75 * r0 * t2 + t4 * (2 * Y1 + Y3)
-        W1 = r0 / 4.0 + t2 * Y3
-        W3 = r0 / 4.0 - t2 * (Y3 - 2 * Y1)
+        V = 4.0 + 0.75 * t2 + t4 * (2 * Y1 + Y3)
+        W1 = 0.25 + t2 * Y3
+        W3 = 0.25 - t2 * (Y3 - 2 * Y1)
         RVW = (V * W3).sqrt()
         A1 = 0.5 * W1 * (V + t2 * W3) / RVW
         A3 = 0.5 * (V * (2 * W3 - W1) + t2 * (W1 * W3)) / RVW
-        E1 = (1.0 + (4.0 / r0**2) * t2 * X3).sqrt()
-        E3 = (1.0 + (4.0 / r0**2) * t2 * X1) / E1
-        # the constants r0^2/2 of A_i and 1 of E_i cancel the t^2 poles exactly
+        E1 = (1.0 + 4.0 * t2 * X3).sqrt()
+        E3 = (1.0 + 4.0 * t2 * X1) / E1
+        # the constants 1/2 of A_i and 1 of E_i cancel the t^2 poles exactly
         A1, A3, E1, E3 = (f - f.const for f in (A1, A3, E1, E3))
         return [
-            _down(A1, 2, tol * max(1.0, A1.magnitude())) - 4 * X1,
-            _down(A3, 2, tol * max(1.0, A3.magnitude())) - 4 * X3,
-            (r0 / 2.0) * _down(E1, 2, tol * max(1.0, E1.magnitude())) - 4 * Y1,
-            (r0 / 2.0) * _down(E3, 2, tol * max(1.0, E3.magnitude())) - 4 * Y3,
+            _down(A1, 2, _SHIFT_TOL * max(1.0, A1.magnitude())) - 4 * X1,
+            _down(A3, 2, _SHIFT_TOL * max(1.0, A3.magnitude())) - 4 * X3,
+            0.5 * _down(E1, 2, _SHIFT_TOL * max(1.0, E1.magnitude())) - 4 * Y1,
+            0.5 * _down(E3, 2, _SHIFT_TOL * max(1.0, E3.magnitude())) - 4 * Y3,
         ]
 
     return rhs
 
 
-def _phi_su2_factor(r0: float):
-    """U(1) blow-up x1 = t^2 X1, x3 = t^2 X3, a = t^2 Y1, b = t^2 Y3 with p = -r0^3, q = 0."""
+def _phi_su2_factor():
+    """U(1) blow-up x1 = t^2 X1, x3 = t^2 X3, a = t^2 Y1, b = t^2 Y3 with p = -1, q = 0."""
 
     def rhs(ys: list[Series]) -> list[Series]:
         lat, order = ys[0].lattice, ys[0].order
         X1, X3, Y1, Y3 = ys
         t2 = _mono(lat, order, 2)
         Y11, Y33 = Y1 * Y1, Y3 * Y3
-        GL = 4 * r0**3 * (Y11 * Y3) + t2 * Y33 * (4 * Y11 - Y33)
+        GL = 4 * (Y11 * Y3) + t2 * Y33 * (4 * Y11 - Y33)
         RL = GL.sqrt()
         RX3 = X3.sqrt()
         return [
-            2 * (Y1 * Y3) * (r0**3 + t2 * Y3) / RL - 2 * X1,
-            2 * (r0**3 * Y11 + t2 * Y3 * (2 * Y11 - Y33)) / RL - 2 * X3,
+            2 * (Y1 * Y3) * (1.0 + t2 * Y3) / RL - 2 * X1,
+            2 * (Y11 + t2 * Y3 * (2 * Y11 - Y33)) / RL - 2 * X3,
             RX3 - 2 * Y1,
             X1 / RX3 - 2 * Y3,
         ]
@@ -357,23 +360,21 @@ def _phi_su2_factor(r0: float):
     return rhs
 
 
-def _phi_kmn(m: int, n: int, r0: float, beta: float):
-    """U(1) blow-up x1 = t X1, x3 = r0^4 beta^2 + t^2 X3, a = t Y1, b = mn r0^3 + t^2 Y3."""
-    p = -(m * m) * r0**3
-    q = (n * n) * r0**3
-    mn3 = m * n * r0**3
+def _phi_kmn(m: int, n: int, beta: float):
+    """U(1) blow-up x1 = t X1, x3 = beta^2 + t^2 X3, a = t Y1, b = mn + t^2 Y3."""
+    p, q, mn = -(m * m), n * n, m * n
 
     def rhs(ys: list[Series]) -> list[Series]:
         lat, order = ys[0].lattice, ys[0].order
         X1, X3, Y1, Y3 = ys
         t2 = _mono(lat, order, 2)
-        b = mn3 + t2 * Y3
+        b = mn + t2 * Y3
         bp = b - p
         bq = b + q
-        core = 2 * mn3 * Y3 + t2 * (Y3 * Y3)
+        core = 2 * mn * Y3 + t2 * (Y3 * Y3)
         GF = 4 * (Y1 * Y1) * bp * bq - t2 * (core * core)
         RF = GF.sqrt()
-        S = r0**4 * beta**2 + t2 * X3
+        S = beta**2 + t2 * X3
         RS = S.sqrt()
         return [
             2 * Y1 * bp * bq / RF - X1,
@@ -510,33 +511,33 @@ def _seed_by_ladder(ladder: tuple, t: float, params: ModelParams, solve, state_o
     raise last_exc
 
 
-def seed_delta_su2(r0, alpha1, alpha3, t_switch):
+def seed_delta_su2(alpha1, alpha3, t_switch):
     """Series and state for the family closing on the diagonal singular S^3, at alpha2 = alpha1."""
-    params = ModelParams.delta_su2(r0)
-    if abs(64 * r0 * (alpha1 + alpha1 + alpha3) - 1.0) > 1e-12:
+    params = ModelParams.delta_su2(1.0)
+    if abs(64 * (alpha1 + alpha1 + alpha3) - 1.0) > 1e-12:
         raise ConstraintError("delta_su2 requires 64 r0 (2 alpha1 + alpha3) = 1")
-    y0 = np.array([2 * r0 * (alpha1 + alpha3), 4 * r0 * alpha1, alpha1, alpha3])
+    y0 = np.array([2 * (alpha1 + alpha3), 4 * alpha1, alpha1, alpha3])
     t = t_switch
-    solve = partial(solve_singular_ivp, _phi_delta_su2(r0), y0, (2.0,), shift_pad=2.0)
+    solve = partial(solve_singular_ivp, _phi_delta_su2(), y0, (2.0,), shift_pad=2.0)
 
     def state_of(sol):
         X1, X3, Y1, Y3 = sol.evaluate(t)
-        x, y = r0**2 * t**2 / 4, r0**3 + r0 * t**2 / 4
+        x, y = t**2 / 4, 1.0 + t**2 / 4
         return _u1_state(x + t**4 * X1, x + t**4 * X3, y + t**4 * Y1, y + t**4 * Y3)
 
     return _seed_by_ladder(_SMOOTH_LADDER, t, params, solve, state_of)
 
 
-def seed_su2_factor(r0, alpha1, alpha3, t_switch):
+def seed_su2_factor(alpha1, alpha3, t_switch):
     """Series and state for the family closing on the factor singular S^3, at alpha2 = alpha1."""
-    params = ModelParams.su2_factor(r0)
+    params = ModelParams.su2_factor(1.0)
     if min(alpha1, alpha3) <= 0:
         raise ConstraintError("su2_factor requires alpha_i > 0")
     if abs(alpha1 * alpha1 * alpha3 - 1.0) > 1e-12:
         raise ConstraintError("su2_factor requires alpha1^2 alpha3 = 1")
-    y0 = np.array([r0**2 * alpha1 * alpha3 / 4, r0**2 * alpha1 * alpha1 / 4, r0 * alpha1 / 4, r0 * alpha3 / 4])
+    y0 = np.array([alpha1 * alpha3 / 4, alpha1 * alpha1 / 4, alpha1 / 4, alpha3 / 4])
     t = t_switch
-    solve = partial(solve_singular_ivp, _phi_su2_factor(r0), y0, (2.0,))
+    solve = partial(solve_singular_ivp, _phi_su2_factor(), y0, (2.0,))
 
     def state_of(sol):
         return _u1_state(*(t**2 * sol.evaluate(t)))
@@ -544,26 +545,25 @@ def seed_su2_factor(r0, alpha1, alpha3, t_switch):
     return _seed_by_ladder(_SMOOTH_LADDER, t, params, solve, state_of)
 
 
-def seed_kmn(m, n, r0, beta, t_switch):
+def seed_kmn(m, n, beta, t_switch):
     """Series and state for the family closing on the S^2 x S^3 singular orbit."""
-    params = ModelParams.kmn(m, n, r0)
+    params = ModelParams.kmn(m, n, 1.0)
     if beta is None or beta <= 0:
         raise ConstraintError("kmn requires beta > 0")
-    mn3 = m * n * r0**3
     y0 = np.array(
         [
-            math.sqrt(m * n) * (m + n) * r0**3,
-            r0**2 * (beta * (m + n) / (2 * math.sqrt(m * n)) - m * m * n * n / (2 * beta**2)),
-            r0**2 * beta,
-            math.sqrt(m * n) * (m + n) * r0 / (2 * beta),
+            math.sqrt(m * n) * (m + n),
+            beta * (m + n) / (2 * math.sqrt(m * n)) - m * m * n * n / (2 * beta**2),
+            beta,
+            math.sqrt(m * n) * (m + n) / (2 * beta),
         ]
     )
     t = t_switch
-    solve = partial(solve_singular_ivp, _phi_kmn(m, n, r0, beta), y0, (2.0,))
+    solve = partial(solve_singular_ivp, _phi_kmn(m, n, beta), y0, (2.0,))
 
     def state_of(sol):
         X1, X3, Y1, Y3 = sol.evaluate(t)
-        return _u1_state(t * X1, r0**4 * beta**2 + t**2 * X3, t * Y1, mn3 + t**2 * Y3)
+        return _u1_state(t * X1, beta**2 + t**2 * X3, t * Y1, m * n + t**2 * Y3)
 
     return _seed_by_ladder(_SMOOTH_LADDER, t, params, solve, state_of)
 
@@ -751,32 +751,17 @@ class SeedSpec:
             return self.switch_parameter
         if self.family in ("delta_su2", "su2_factor", "kmn"):
             return 0.1 * (abs(self.r0) or 1.0)
-        return {"ac_end": 50.0, "cone": 1.0, "cs_end": 0.1}[self.family]  # r0 plays no part
+        return {"ac_end": 50.0, "cone": 1.0, "cs_end": 0.1}[self.family]
 
     def build(self):
         """(params, state, series) of the seed; the series is None for the exact cone.
 
         The state is the `U1State` the family's `seed_*` constructor emits.
+        B7, D7 and K(m, n) are solved at r0 = 1 (switch t / r0, B7 alphas
+        times r0), and their state is scaled by r0^3 (a, b) and r0^2 (da, db);
+        their series is returned as solved.
         """
         t = self.t_switch
-        if self.family == "delta_su2":
-            params = ModelParams.delta_su2(self.r0)  # checks r0 before the solve divides by it
-            a1, _, a3 = self.alphas
-            if a1 is None:  # solve 64 r0 (2 a1 + a3) = 1
-                a1 = (1.0 / (64.0 * self.r0) - a3) / 2.0
-            sol, state = seed_delta_su2(self.r0, a1, a3, t)
-            return params, state, sol
-        if self.family == "su2_factor":
-            a1, _, a3 = self.alphas
-            if a1 is None:  # solve a1^2 a3 = 1
-                if not a3 > 0:
-                    raise ConstraintError(f"su2_factor requires alpha3 > 0, got alpha3 = {a3}")
-                a1 = 1.0 / math.sqrt(a3)
-            sol, state = seed_su2_factor(self.r0, a1, a3, t)
-            return ModelParams.su2_factor(self.r0), state, sol
-        if self.family == "kmn":
-            sol, state = seed_kmn(self.m, self.n, self.r0, self.beta, t)
-            return ModelParams.kmn(self.m, self.n, self.r0), state, sol
         if self.family == "cs_end":
             sol, state = seed_cs_end(self.c, t)
             return ModelParams.cone(), state, sol
@@ -788,4 +773,26 @@ class SeedSpec:
             params = ModelParams.plain(p, q)
             sol, state = seed_ac_end(params, self.c, t)
             return params, state, sol
-        return ModelParams.cone(), cone_state(t), None  # the exact cone
+        if self.family == "cone":
+            return ModelParams.cone(), cone_state(t), None
+        r0 = self.r0
+        if self.family == "delta_su2":
+            params = ModelParams.delta_su2(r0)
+            a1, _, a3 = (a if a is None else a * r0 for a in self.alphas)
+            if a1 is None:  # solve 64 (2 a1 + a3) = 1
+                a1 = (1.0 / 64.0 - a3) / 2.0
+            seed_at = partial(seed_delta_su2, a1, a3)
+        elif self.family == "su2_factor":
+            params = ModelParams.su2_factor(r0)
+            a1, _, a3 = self.alphas
+            if a1 is None:  # solve a1^2 a3 = 1
+                if not a3 > 0:
+                    raise ConstraintError(f"su2_factor requires alpha3 > 0, got alpha3 = {a3}")
+                a1 = 1.0 / math.sqrt(a3)
+            seed_at = partial(seed_su2_factor, a1, a3)
+        else:
+            params = ModelParams.kmn(self.m, self.n, r0)
+            seed_at = partial(seed_kmn, self.m, self.n, self.beta)
+        sol, state = seed_at(t / r0)  # its ModelParams constructor has checked r0 > 0
+        s3, s2 = r0**3, r0**2
+        return params, U1State(a=state.a * s3, b=state.b * s3, da=state.da * s2, db=state.db * s2), sol

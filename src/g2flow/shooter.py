@@ -14,6 +14,11 @@ so both schemes turn it into a signed miss (negative below, positive above)
 and find its sign change with Brent's method (`_root_on_miss`).  The hit
 labels stay as a check on the miss's sign.  The monotone separation behind
 both schemes is the no-cross comparison of a-parametrized solutions.
+
+Every shot runs at unit orbit size: the corner is (0, mn), the AC switch is
+T = 10 and forward seeds are taken near t = 0.05.  The orbit size is a unit
+of length, so beta_ac is scale-free and c_ac scales as r0^nu_inf; only
+`find_beta_ac` and `find_c_ac` take it, and `find_c_ac` reports in its units.
 """
 from __future__ import annotations
 
@@ -54,27 +59,26 @@ WALK_LIMIT = 40
 
 @dataclass(frozen=True)
 class GammaCurve:
-    """The stopping curve for backward AC runs: gamma1 u gamma2 with corner (0, mn r0^3)."""
+    """The stopping curve for backward AC runs: gamma1 u gamma2 with corner (0, mn)."""
 
     m: int
     n: int
-    r0: float
     k: float = DEFAULT_K
 
     def __post_init__(self):
         if not (1.0 < self.k < 2.0):
             raise ValueError("gamma curve needs k in (1, 2)")
-        if self.m <= 0 or self.n <= 0 or math.gcd(self.m, self.n) != 1 or self.r0 <= 0:
-            raise ValueError("gamma curve needs coprime positive (m, n) and r0 > 0")
+        if self.m <= 0 or self.n <= 0 or math.gcd(self.m, self.n) != 1:
+            raise ValueError("gamma curve needs coprime positive (m, n)")
 
     @property
     def corner_b(self) -> float:
-        return self.m * self.n * self.r0**3
+        return float(self.m * self.n)
 
     @property
     def gamma2_data(self) -> dict:
         """The arguments of `invariants.gamma2_margin` that fix this curve's gamma2."""
-        return {"k": self.k, "m2r03": self.m**2 * self.r0**3, "n2r03": self.n**2 * self.r0**3}
+        return {"k": self.k, "m2r03": float(self.m**2), "n2r03": float(self.n**2)}
 
     def gamma2_margin(self, a: float, b: float) -> float:
         return gamma2_margin(a, b, **self.gamma2_data)
@@ -88,7 +92,8 @@ class ShootResult:
     closure: dict | None = None
     history: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-    trajectory: Trajectory | None = field(default=None, repr=False)  # the critical run; not serialized
+    # the critical run, in the units of the call (samples only); not serialized
+    trajectory: Trajectory | None = field(default=None, repr=False)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -124,11 +129,10 @@ def extend_ac_backward(
     if not (inside and eval_F(state.a, state.b, params)[0] > 0):
         raise SeedError("backward extension needs a state in the backward-AC region (c > 0)")
 
-    scale = gamma.r0**3
     stops = [
         StopEvent.make("hits_gamma1", level=gamma.corner_b),
         StopEvent.make("hits_gamma2", **gamma.gamma2_data),
-        StopEvent.make("hits_corner", eps=CORNER_EPS * scale),
+        StopEvent.make("hits_corner", eps=CORNER_EPS),
         StopEvent.make("blow_up"),
     ]
     try:
@@ -146,7 +150,7 @@ def extend_ac_backward(
         return traj, "gamma2"
     if kind == "hits_corner":
         b_end = z[0]
-        if abs(b_end - gamma.corner_b) <= 10 * CORNER_EPS * scale:
+        if abs(b_end - gamma.corner_b) <= 10 * CORNER_EPS:
             return traj, "corner"
         return traj, "gamma1" if b_end < gamma.corner_b else "gamma2"
     raise RegionExitError(f"backward run ended with {kind} before reaching the gamma curve")
@@ -239,15 +243,18 @@ def find_c_ac(
 ) -> ShootResult:
     """Locate the AC-end parameter c_ac between gamma1 hits (below) and gamma2 (above).
 
-    The miss of a gamma1 hit is -(a_hit / r0^3)^2, that of a gamma2 or corner
-    hit (b_hit - mn r0^3) / (mn r0^3); both tend to 0 at c_ac.
+    The miss of a gamma1 hit is -a_hit^2, that of a gamma2 or corner hit
+    (b_hit - mn) / mn; both tend to 0 at c_ac.  c, its bracket and the shots'
+    c are reported times r0^nu_inf, `T_switch` times r0 and the critical
+    run's s and b times r0^3; the closure and the misses are scale-free.
     """
     _check_tol(tol)
-    gamma = GammaCurve(m=m, n=n, r0=r0, k=k)
-    params = ModelParams.kmn(m, n, r0)
-    # the corner sits at arc-length t ~ (54 mn r0^3 / sqrt3)^(1/3); the decaying
+    gamma = GammaCurve(m=m, n=n, k=k)
+    in_units = ModelParams.kmn(m, n, r0)
+    params = ModelParams.kmn(m, n, 1.0)
+    # the corner sits at arc-length t ~ (54 mn / sqrt3)^(1/3); the decaying
     # mode becomes order-one there when c ~ t_corner^nu_inf
-    cscale = (54.0 / math.sqrt(3.0) * m * n * r0**3) ** (NUINF / 3.0)
+    cscale = (54.0 / math.sqrt(3.0) * m * n) ** (NUINF / 3.0)
     history: list = []
 
     def run(c: float) -> tuple[Trajectory, str]:
@@ -258,7 +265,7 @@ def find_c_ac(
         traj, hit = run(c)
         kind, a_end, z = traj.terminal_event
         if kind == "hits_gamma1":
-            miss = -((a_end / r0**3) ** 2)
+            miss = -(a_end**2)
         else:
             miss = float(z[0] - gamma.corner_b) / gamma.corner_b
         if (hit == "gamma1") != (miss < 0):
@@ -269,16 +276,17 @@ def find_c_ac(
     traj_final, hit_final = run(c_ac)
     closure = None
     try:
-        beta, residuals = closure_extract_beta(traj_final, m, n, r0)
+        beta, residuals = closure_extract_beta(traj_final, m, n)
         closure = {"beta": beta, **residuals}
     except ClosureError as exc:
         closure = {"error": str(exc), **exc.residuals}
+    unit = r0**NUINF
     return ShootResult(
-        critical_value=c_ac,
-        bracket=(lo, hi),
+        critical_value=unit * c_ac,
+        bracket=(unit * lo, unit * hi),
         iterations=iterations,
         closure=closure,
-        history=history,
+        history=[(unit * c, hit, miss) for c, hit, miss in history],
         meta={
             "m": m,
             "n": n,
@@ -286,23 +294,33 @@ def find_c_ac(
             "k": k,
             "scheme": "backward",
             "tol": tol,
-            "T_switch": AC_T_SWITCH,
+            "T_switch": AC_T_SWITCH * r0,
             "final_hit": hit_final,
         },
-        trajectory=traj_final,
+        trajectory=_a_run_in_units(traj_final, in_units),
     )
 
 
-def closure_extract_beta(traj: Trajectory, m: int, n: int, r0: float) -> tuple[float, dict]:
-    """Extract beta from the corner limits da^2 -> r0^4 beta^2 and the b-slope.
+def _a_run_in_units(traj: Trajectory, params: ModelParams) -> Trajectory:
+    """The a-parametrized shot `traj` in the units of `params`: s and b scale
+    as the orbit size cubed, mu not.  It keeps its samples and events, not its
+    interpolants."""
+    s3 = params.r0**3
+    scale = np.array([s3, 1.0])
+    events = [(kind, tp * s3, z * scale) for kind, tp, z in traj.events]
+    return Trajectory(traj.system, params, traj.ts * s3, traj.zs * scale, events)
 
-    The trajectory must be a-parametrized and terminate near the corner
-    (a -> 0, b -> mn r0^3, F -> 0).  Residuals report the mismatch against
+
+def closure_extract_beta(traj: Trajectory, m: int, n: int) -> tuple[float, dict]:
+    """Extract beta from the corner limits da^2 -> beta^2 and the b-slope.
+
+    The trajectory must be an a-parametrized shot that terminates near the
+    corner (a -> 0, b -> mn, F -> 0).  Residuals report the mismatch against
     the smooth-closure boundary template.
     """
     if traj.system != "u1_a":
         raise ClosureError("closure extraction needs an a-parametrized trajectory")
-    corner_b = m * n * r0**3
+    corner_b = float(m * n)
     s = traj.ts
     b = traj.zs[:, 0]
     mu = traj.zs[:, 1]
@@ -318,7 +336,7 @@ def closure_extract_beta(traj: Trajectory, m: int, n: int, r0: float) -> tuple[f
         window = np.zeros_like(s, dtype=bool)
         window[-8:] = True
     sw, bw, muw = s[window], b[window], mu[window]
-    params = ModelParams.kmn(m, n, r0)
+    params = ModelParams.kmn(m, n, 1.0)
     da2 = np.empty_like(sw)
     for i, (si, bi, mi) in enumerate(zip(sw, bw, muw)):
         f = eval_F(si, bi, params)[0]
@@ -326,18 +344,18 @@ def closure_extract_beta(traj: Trajectory, m: int, n: int, r0: float) -> tuple[f
             raise ClosureError("F or mu non-positive in the fit window", residuals=resid)
         da2[i] = (math.sqrt(f) / (2 * mi)) ** (2.0 / 3.0)
 
-    # even expansions in s: da^2 = r0^4 beta^2 + O(s^2), b = corner + D s^2 + O(s^4)
+    # even expansions in s: da^2 = beta^2 + O(s^2), b = corner + D s^2 + O(s^4)
     basis = np.column_stack([np.ones_like(sw), sw**2])
     coef_da2, *_ = np.linalg.lstsq(basis, da2, rcond=None)
     coef_b, *_ = np.linalg.lstsq(basis, bw - corner_b, rcond=None)
     A0 = coef_da2[0]
     if A0 <= 0:
         raise ClosureError("da^2 extrapolated to a non-positive corner value", residuals=resid)
-    beta = math.sqrt(A0) / r0**2
+    beta = math.sqrt(A0)
     D = coef_b[1]
     if D <= 0:
         raise ClosureError("b-slope coefficient non-positive at the corner", residuals=resid)
-    beta_alt = (math.sqrt(m * n) * (m + n) / (2 * D * r0**3)) ** (1.0 / 3.0)
+    beta_alt = (math.sqrt(m * n) * (m + n) / (2 * D)) ** (1.0 / 3.0)
     resid["b_intercept"] = abs(coef_b[0]) / scale
     resid["beta_cross_mismatch"] = abs(beta - beta_alt) / beta
     if resid["beta_cross_mismatch"] > 0.05:
@@ -348,13 +366,12 @@ def closure_extract_beta(traj: Trajectory, m: int, n: int, r0: float) -> tuple[f
 # -- forward shooting -----------------------------------------------------------
 
 
-def forward_seed(m: int, n: int, r0: float, beta: float) -> U1State:
+def forward_seed(m: int, n: int, beta: float) -> U1State:
     """The a-parametrized K(m, n) seed of forward shooting, taken at
-    t = 0.05 r0, or at a fraction of it where the series cannot reach."""
-    t_switch = 0.05 * abs(r0)
+    t = 0.05, or at a fraction of it where the series cannot reach."""
     for shrink in (1.0, 0.5, 0.25, 0.1):
         try:
-            spec = SeedSpec(family="kmn", m=m, n=n, r0=r0, beta=beta, switch_parameter=shrink * t_switch)
+            spec = SeedSpec(family="kmn", m=m, n=n, beta=beta, switch_parameter=shrink * 0.05)
             _, state, _ = spec.build()
             break
         except SeedError:
@@ -363,32 +380,32 @@ def forward_seed(m: int, n: int, r0: float, beta: float) -> U1State:
     return to_aparam(state)
 
 
-def forward_shot(m: int, n: int, r0: float, beta: float, rtol: float = 1e-11) -> tuple[str, float]:
+def forward_shot(m: int, n: int, beta: float, rtol: float = 1e-11) -> tuple[str, float]:
     """The side a forward run from `forward_seed` ends on, and its signed miss.
 
-    "alc": it crosses a = b with da > db, miss +(r0^3 / a)^4 at the crossing;
+    "alc": it crosses a = b with da > db, miss +(1 / a)^4 at the crossing;
     "incomplete": it enters the death quadrant, F vanishes or it blows up,
-    miss -(r0^3 / a)^4 there.  Both ends recede as |beta / beta_ac - 1|^(-1/4),
+    miss -(1 / a)^4 there.  Both ends recede as |beta / beta_ac - 1|^(-1/4),
     so the miss is about linear in beta through beta_ac.  "indeterminate" and
-    "seed_error" carry a NaN miss.  The run's span grows from 50 r0^3 mn
-    until it reaches either side.
+    "seed_error" carry a NaN miss.  The run's span grows from 50 mn until it
+    reaches either side.
     """
-    params = ModelParams.kmn(m, n, r0)
+    params = ModelParams.kmn(m, n, 1.0)
     try:
-        seed = forward_seed(m, n, r0, beta)
+        seed = forward_seed(m, n, beta)
     except SeedError:
         return "seed_error", math.nan
-    span = 50.0 * r0**3 * max(m * n, 1)
+    span = 50.0 * max(m * n, 1)
     stops = [StopEvent.make("reaches_a_equals_b"), StopEvent.make("enters_death_chamber"), *DEGENERATION_STOPS]
     for _ in range(6):
         traj = integrate(seed, seed.a, params, stops, Budget(span=span), rtol=rtol)
         kind, a_end, z = traj.terminal_event
         if kind == "reaches_a_equals_b":
             if z[1] < 1.0:  # mu = db/da < 1 at the crossing
-                return "alc", (r0**3 / a_end) ** 4
+                return "alc", (1.0 / a_end) ** 4
             return "indeterminate", math.nan
         if kind in ("enters_death_chamber", "F_vanishes", "blow_up"):
-            return "incomplete", -((r0**3 / a_end) ** 4)
+            return "incomplete", -((1.0 / a_end) ** 4)
         span *= 8.0
     return "indeterminate", math.nan
 
@@ -400,11 +417,15 @@ def find_beta_ac(
     tol: float = 1e-6,
     rtol: float = 1e-11,
 ) -> ShootResult:
-    """Locate the seed parameter beta_ac between incomplete (below) and ALC (above)."""
+    """Locate the seed parameter beta_ac between incomplete (below) and ALC (above).
+
+    beta_ac is scale-free: r0 is checked and reported, and the shots run at r0 = 1.
+    """
     _check_tol(tol)
+    ModelParams.kmn(m, n, r0)
     history: list = []
     lo, hi, beta_ac, iterations = _root_on_miss(
-        lambda beta: forward_shot(m, n, r0, beta, rtol), 1.0, tol, history
+        lambda beta: forward_shot(m, n, beta, rtol), 1.0, tol, history
     )
     return ShootResult(
         critical_value=beta_ac,

@@ -482,18 +482,18 @@ def check_series_residual_orders(ctx) -> CheckResult:
     # clear the roundoff floor, small enough to stay inside convergence
     cases = {
         "delta_su2": (
-            sd.seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)[0],
-            sd._phi_delta_su2(1.0),
+            sd.seed_delta_su2(1 / 160, 1 / 320, 0.1)[0],
+            sd._phi_delta_su2(),
             (0.8, 0.4),
         ),
         "su2_factor": (
-            sd.seed_su2_factor(1.0, 2 ** 0.25, 2 ** -0.5, 0.1)[0],
-            sd._phi_su2_factor(1.0),
+            sd.seed_su2_factor(2 ** 0.25, 2 ** -0.5, 0.1)[0],
+            sd._phi_su2_factor(),
             (0.8, 0.4),
         ),
         "kmn(1,2)": (
-            sd.seed_kmn(1, 2, 1.0, 1.0, t_switch=0.05)[0],
-            sd._phi_kmn(1, 2, 1.0, 1.0),
+            sd.seed_kmn(1, 2, 1.0, t_switch=0.05)[0],
+            sd._phi_kmn(1, 2, 1.0),
             (0.2, 0.1),
         ),
         "cs(c=1)": (sd.seed_cs_end(1.0, 0.1)[0], sd._phi_cs(), (0.2, 0.1)),

@@ -88,8 +88,8 @@ def test_criterion_09_needs_backward_closure(monkeypatch):
 
     real = shooter.closure_extract_beta
 
-    def off_by_one_percent(traj, m, n, r0):
-        beta, resid = real(traj, m, n, r0)
+    def off_by_one_percent(traj, m, n):
+        beta, resid = real(traj, m, n)
         return 1.01 * beta, resid
 
     monkeypatch.setattr(shooter, "closure_extract_beta", off_by_one_percent)
@@ -139,3 +139,18 @@ def test_criterion_11_series_residual_orders(ctx):
 
 def test_criterion_12_scaling_equivariance(ctx):
     _run(ctx, V.check_scaling_equivariance)
+
+
+def test_criterion_12_needs_a_homogeneous_flow(monkeypatch):
+    """A constant 1e-4 added to F breaks the flow's scaling symmetry and fails criterion 12."""
+    from g2flow import flow
+
+    real = flow.eval_F
+
+    def shifted(a, b, params):
+        f, fa, fb = real(a, b, params)
+        return f + 1e-4, fa, fb
+
+    monkeypatch.setattr(flow, "eval_F", shifted)
+    res = V.VerificationContext(quick=True).run(V.check_scaling_equivariance)
+    assert not res.passed, res.measured

@@ -34,7 +34,7 @@ def on_shell(a, b, lam, params):
 class TestChamberMembership:
     def test_b7_seed_in_alc_strict(self):
         params = ModelParams.delta_su2(1.0)
-        _, st = seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)
+        _, st = seed_delta_su2(1 / 160, 1 / 320, 0.1)
         mem = chamber_membership(st, params)
         assert {"alc_chamber", "alc_strict"} <= mem
 
@@ -120,7 +120,7 @@ class TestChambersDefinedOnce:
             raise Admitted
 
         monkeypatch.setattr(shooter, "integrate", admitted)  # stop at the run an admitted seed starts
-        gamma = shooter.GammaCurve(m=1, n=2, r0=1.0)
+        gamma = shooter.GammaCurve(m=1, n=2)
         admitted_count = 0
         states = wall_states(params, np.random.default_rng(23))
         for st in states:

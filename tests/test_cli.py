@@ -7,6 +7,7 @@ import pytest
 from g2flow.cli import main, spec_from_config
 from g2flow.config import RunConfig, load_config
 from g2flow.errors import ConfigError
+from g2flow.seeds import NUINF
 
 
 def read_csv(path):
@@ -74,6 +75,19 @@ class TestConfig:
         cfgfile.write_text(json.dumps({"r0": 2, "alpha3": None, "t_switch": 1}))
         cfg = load_config(str(cfgfile), {})
         assert (cfg.r0, cfg.alpha3, cfg.t_switch) == (2, None, 1)
+
+    def test_config_before_or_after_the_subcommand(self, tmp_path):
+        """--config reads the same file on either side of the subcommand."""
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"family": "cs", "c": 1.0, "t_switch": 0.1}))
+        verdicts = []
+        for i, args in enumerate([["--config", str(cfgfile), "classify"], ["classify", "--config", str(cfgfile)]]):
+            out = tmp_path / str(i)
+            assert main([*args, "--out-dir", str(out)]) == 0
+            verdict = json.loads((out / "verdict.json").read_text())
+            verdict.pop("config_hash")  # the hash covers --out-dir
+            verdicts.append(verdict)
+        assert verdicts[0]["kind"] == "ALC" and verdicts[0] == verdicts[1]
 
     def test_bad_tolerance_exit_code(self, tmp_path):
         rc = main(["solve", "--family", "cone", "--tol", "-1", "--out-dir", str(tmp_path)])
@@ -269,6 +283,22 @@ class TestFindAcCmd:
         # the run is parametrized by a: no arc-length derivatives, so no H or mean curvature
         assert np.all(np.isnan(cols["t"])) and np.all(np.isnan(cols["H"]))
         assert np.all(np.isnan(cols["mean_curvature"]))
+
+    def test_r0_is_a_unit(self, tmp_path):
+        """At r0 = 2, beta_ac is the r0 = 1 value, c_ac is 2^nu_inf times it, and
+        the critical run has s, a and b times 8 and the same mu = db."""
+        reports, cols = {}, {}
+        for r0 in ("1", "2"):
+            out = tmp_path / r0
+            assert main(["find-ac", "--m", "1", "--n", "2", "--tol", "1e-4", "--r0", r0, "--out-dir", str(out)]) == 0
+            reports[r0] = json.loads((out / "find_ac.json").read_text())
+            cols[r0] = read_csv(out / "critical_trajectory.csv")
+        beta = [reports[r0]["beta_ac_forward"]["critical_value"] for r0 in ("1", "2")]
+        c_ac = [reports[r0]["c_ac_backward"]["critical_value"] for r0 in ("1", "2")]
+        assert beta[1] == beta[0] and c_ac[1] == 2.0**NUINF * c_ac[0]
+        for name in ("s", "a", "b"):
+            assert np.array_equal(cols["2"][name], 8.0 * cols["1"][name])
+        assert np.array_equal(cols["2"]["db"], cols["1"]["db"])
 
     def test_tight_tolerance_is_kept(self, tmp_path):
         rc = main(["find-ac", "--m", "1", "--n", "1", "--tol", "1e-10", "--out-dir", str(tmp_path)])

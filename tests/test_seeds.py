@@ -62,17 +62,17 @@ class TestFamilyEigenvalues:
     """The linearizations reproduce the printed determinant factorizations, on the U(1) subspace."""
 
     def test_delta_su2(self):
-        sol, _ = seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)
+        sol, _ = seed_delta_su2(1 / 160, 1 / 320, 0.1)
         eig = np.sort(np.linalg.eigvals(sol.linearization).real)
         assert eig == pytest.approx([-8, -5, -3, 0], abs=1e-9)
 
     def test_su2_factor(self):
-        sol, _ = seed_su2_factor(1.0, 2**0.25, 2**-0.5, 0.1)
+        sol, _ = seed_su2_factor(2**0.25, 2**-0.5, 0.1)
         eig = np.sort(np.linalg.eigvals(sol.linearization).real)
         assert eig == pytest.approx([-4, -3, -1, 0], abs=1e-9)
 
     def test_kmn(self):
-        sol, _ = seed_kmn(1, 2, 1.0, 1.0, t_switch=0.05)
+        sol, _ = seed_kmn(1, 2, 1.0, t_switch=0.05)
         eig = np.sort(np.linalg.eigvals(sol.linearization).real)
         assert eig == pytest.approx([-2, -2, -1, -1], abs=1e-9)
 
@@ -83,10 +83,10 @@ class TestEvenLattice:
     @pytest.mark.parametrize(
         "seed, phi, pad",
         [
-            (lambda: seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1), sd._phi_delta_su2(1.0), 2.0),
-            (lambda: seed_su2_factor(1.0, 2**0.25, 2**-0.5, 0.1), sd._phi_su2_factor(1.0), 0.0),
-            (lambda: seed_kmn(1, 2, 1.0, 1.0, t_switch=0.1), sd._phi_kmn(1, 2, 1.0, 1.0), 0.0),
-            (lambda: seed_kmn(2, 3, 1.0, 4.4, t_switch=0.1), sd._phi_kmn(2, 3, 1.0, 4.4), 0.0),
+            (lambda: seed_delta_su2(1 / 160, 1 / 320, 0.1), sd._phi_delta_su2(), 2.0),
+            (lambda: seed_su2_factor(2**0.25, 2**-0.5, 0.1), sd._phi_su2_factor(), 0.0),
+            (lambda: seed_kmn(1, 2, 1.0, t_switch=0.1), sd._phi_kmn(1, 2, 1.0), 0.0),
+            (lambda: seed_kmn(2, 3, 4.4, t_switch=0.1), sd._phi_kmn(2, 3, 4.4), 0.0),
         ],
         ids=["b7", "d7", "kmn(1,2)", "kmn(2,3)"],
     )
@@ -119,52 +119,49 @@ class TestEvenLattice:
 class TestDeltaSu2:
     def test_constraint_enforced(self):
         with pytest.raises(ConstraintError):
-            seed_delta_su2(1.0, 0.01, 0.01, 0.1)
+            seed_delta_su2(0.01, 0.01, 0.1)
 
     def test_equal_alpha_on_bryant_salamon_quartic(self):
         params = ModelParams.delta_su2(1.0)
-        _, st = seed_delta_su2(1.0, 1 / 192, 1 / 192, 0.1)
+        _, st = seed_delta_su2(1 / 192, 1 / 192, 0.1)
         assert abs(su2cubed_curve_residual(st.da * st.db, st.a, params)) < 1e-10
 
     def test_sign_pattern_alpha3_below(self):
-        _, u = seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)
+        _, u = seed_delta_su2(1 / 160, 1 / 320, 0.1)
         assert u.a > u.b and u.da > u.db
 
     def test_leading_coefficients(self):
-        # a_i = r0^3 + r0 t^2/4 + alpha_i t^4 + O(t^6)
-        r0 = 1.0
+        # a_i = 1 + t^2/4 + alpha_i t^4 + O(t^6) at r0 = 1
         al = (1 / 160, 1 / 160, 1 / 320)
-        sol, _ = seed_delta_su2(r0, al[0], al[2], 0.1)
+        sol, _ = seed_delta_su2(al[0], al[2], 0.1)
         for t in (0.02, 0.01):
             XY = sol.evaluate(t)
-            y = r0**3 + r0 * t**2 / 4 + t**4 * XY[2:]
-            model = r0**3 + r0 * t**2 / 4 + np.array(al[1:]) * t**4
+            y = 1.0 + t**2 / 4 + t**4 * XY[2:]
+            model = 1.0 + t**2 / 4 + np.array(al[1:]) * t**4
             assert np.max(np.abs(y - model)) < 5.0 * t**6
 
 
 class TestSu2Factor:
     def test_constraint_enforced(self):
         with pytest.raises(ConstraintError):
-            seed_su2_factor(1.0, 1.0, 2.0, 0.1)
+            seed_su2_factor(1.0, 2.0, 0.1)
         with pytest.raises(ConstraintError):
-            seed_su2_factor(1.0, -1.0, 1.0, 0.1)
+            seed_su2_factor(-1.0, 1.0, 0.1)
 
     def test_remark_t4_coefficients(self):
-        # a1 t^4 coefficient: (8 - 5 a3^3)/(576 a1 r0); a3: -(4 - 7a3^3) a3/(576 a1^2 r0)
-        r0 = 1.0
+        # at r0 = 1, a1 t^4 coefficient: (8 - 5 a3^3)/(576 a1); a3: -(4 - 7a3^3) a3/(576 a1^2)
         for a3 in (1.0, 0.6, 1.4):
             a1 = 1 / math.sqrt(a3)
-            sol, _ = seed_su2_factor(r0, a1, a3, 0.1)
+            sol, _ = seed_su2_factor(a1, a3, 0.1)
             c2 = coefficient_at(sol, 2.0)
-            assert c2[2] == pytest.approx((8 - 5 * a3**3) / (576 * a1 * r0), rel=1e-11)
-            assert c2[3] == pytest.approx(-(4 - 7 * a3**3) * a3 / (576 * a1**2 * r0), rel=1e-11, abs=1e-14)
+            assert c2[2] == pytest.approx((8 - 5 * a3**3) / (576 * a1), rel=1e-11)
+            assert c2[3] == pytest.approx(-(4 - 7 * a3**3) * a3 / (576 * a1**2), rel=1e-11, abs=1e-14)
 
     def test_d7_cross_term_coefficient(self):
         """da b - a db = (1 - a3^3) a3/(96 a1) t^5 + O(t^7)."""
-        r0 = 1.0
         a3 = 0.7
         a1 = 1 / math.sqrt(a3)
-        sol, _ = seed_su2_factor(r0, a1, a3, 0.1)
+        sol, _ = seed_su2_factor(a1, a3, 0.1)
         lead = (1 - a3**3) * a3 / (96 * a1)
         vals = []
         for t in (0.02, 0.01):
@@ -181,50 +178,50 @@ class TestSu2Factor:
         assert vals[-1] == pytest.approx(lead, rel=2e-3)
 
     def test_alpha_equal_one_gives_1_over_192(self):
-        sol, _ = seed_su2_factor(1.0, 1.0, 1.0, 0.1)
+        sol, _ = seed_su2_factor(1.0, 1.0, 0.1)
         assert coefficient_at(sol, 2.0)[2] == pytest.approx(1 / 192, rel=1e-12)
 
     def test_sign_pattern(self):
-        _, u = seed_su2_factor(1.0, 2**0.5, 0.5, 0.05)
+        _, u = seed_su2_factor(2**0.5, 0.5, 0.05)
         assert u.a > u.b and u.da > u.db
 
 
 class TestKmn:
     def test_constraints(self):
         with pytest.raises(ConstraintError):
-            seed_kmn(2, 4, 1.0, 1.0, 0.1)
+            seed_kmn(2, 4, 1.0, 0.1)
         with pytest.raises(ConstraintError):
-            seed_kmn(1, 2, 1.0, -1.0, 0.1)
+            seed_kmn(1, 2, -1.0, 0.1)
 
     def test_remark_b_coefficient(self):
-        # b(t) = mn r0^3 + sqrt(mn)(m+n)|r0|/(2 beta) t^2 + O(t^4)
-        sol, _ = seed_kmn(1, 2, 1.0, 1.0, t_switch=0.05)
+        # b(t) = mn + sqrt(mn)(m+n)/(2 beta) t^2 + O(t^4) at r0 = 1
+        sol, _ = seed_kmn(1, 2, 1.0, t_switch=0.05)
         assert sol.base[3] == pytest.approx(math.sqrt(2) * 3 / 2, rel=1e-13)
 
     def test_explicit_odd_order_checks_the_last_retained_term(self):
         """At order 11 the last retained term is t^10, and at t = 0.4 it is 2e-8, over the 1e-10 bound."""
-        base = seed_kmn(1, 2, 1.0, 2.5, t_switch=0.1)[0].base
-        sol = sd.solve_singular_ivp(sd._phi_kmn(1, 2, 1.0, 2.5), base, (2.0,), 11.0)
+        base = seed_kmn(1, 2, 2.5, t_switch=0.1)[0].base
+        sol = sd.solve_singular_ivp(sd._phi_kmn(1, 2, 2.5), base, (2.0,), 11.0)
         with pytest.raises(SeedError, match="tail estimate"):
             sd._check_series_tail(sol, 0.4)
 
     def test_hamiltonian_budget(self):
         params = ModelParams.kmn(2, 3, 1.0)
-        _, st = seed_kmn(2, 3, 1.0, 4.4, t_switch=0.05)
+        _, st = seed_kmn(2, 3, 4.4, t_switch=0.05)
         vol = 2 * st.da**2 * st.db
         assert abs(hamiltonian(st, params)) <= 1e-10 * (1 + vol)
 
     def test_kmn_seed_b_of_s_expansion(self):
-        """b(s) = mn r0^3 + sqrt(mn)(m+n)/(2 b^3 r0^3) s^2 + O(s^4) near s = 0."""
-        m, n, r0, beta = 1, 2, 1.0, 1.0
-        sol, _ = seed_kmn(m, n, r0, beta, t_switch=0.05)
-        D = math.sqrt(m * n) * (m + n) / (2 * beta**3 * r0**3)
+        """b(s) = mn + sqrt(mn)(m+n)/(2 b^3) s^2 + O(s^4) near s = 0, at r0 = 1."""
+        m, n, beta = 1, 2, 1.0
+        sol, _ = seed_kmn(m, n, beta, t_switch=0.05)
+        D = math.sqrt(m * n) * (m + n) / (2 * beta**3)
         errs = []
         for t in (0.02, 0.01):
             X1, X3, Y1, Y3 = sol.evaluate(t)
             s = t * Y1
-            b = m * n * r0**3 + t**2 * Y3
-            errs.append(abs(b - (m * n * r0**3 + D * s * s)))
+            b = m * n + t**2 * Y3
+            errs.append(abs(b - (m * n + D * s * s)))
         # O(s^4) remainder: quartic decay under halving
         assert errs[1] <= errs[0] / 8
 
@@ -391,8 +388,8 @@ class TestSeedFingerprint:
         """The check can fail: a 1e-9 t^2 forcing on X1 alone moves the B7 seed off its pin."""
         phi = sd._phi_delta_su2
 
-        def skewed(r0):
-            rhs = phi(r0)
+        def skewed():
+            rhs = phi()
 
             def bent(ys):
                 out = rhs(ys)
@@ -446,11 +443,11 @@ class TestSeedSpec:
         kmn = ModelParams.kmn(1, 2, 1.0)
         on_locus = [
             (SeedSpec(family="b7", alphas=(1 / 160, 1 / 160, 1 / 320), switch_parameter=0.1),
-             seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)[1]),
+             seed_delta_su2(1 / 160, 1 / 320, 0.1)[1]),
             (SeedSpec(family="d7", alphas=(2**0.5, 2**0.5, 0.5), switch_parameter=0.1),
-             seed_su2_factor(1.0, 2**0.5, 0.5, 0.1)[1]),
+             seed_su2_factor(2**0.5, 0.5, 0.1)[1]),
             (SeedSpec(family="kmn", m=1, n=2, beta=4.0, switch_parameter=0.05),
-             seed_kmn(1, 2, 1.0, 4.0, t_switch=0.05)[1]),
+             seed_kmn(1, 2, 4.0, t_switch=0.05)[1]),
             (SeedSpec(family="cs", c=1.0, switch_parameter=0.1), seed_cs_end(1.0, 0.1)[1]),
             (SeedSpec(family="ac", m=1, n=2, c=1.0, switch_parameter=10.0), seed_ac_end(kmn, 1.0, 10.0)[1]),
             (SeedSpec(family="cone", switch_parameter=1.0), cone_state(1.0)),
@@ -509,4 +506,4 @@ def test_kmn_requires_integral_m_n(m, n):
     with pytest.raises(ConstraintError, match="\\(m, n\\)"):
         SeedSpec(family="kmn", m=m, n=n, beta=4.0).build()
     with pytest.raises(ConstraintError, match="\\(m, n\\)"):
-        seed_kmn(m, n, 1.0, 4.0, 0.1)
+        seed_kmn(m, n, 4.0, 0.1)

@@ -227,15 +227,15 @@ def per_column_linearization(rhs, y0, lattice, shift_pad):
 
 def _linearization_cases():
     """(Phi, base point, lattice, shift pad) of each seed family."""
-    b7 = sd.seed_delta_su2(1.0, 1 / 160, 1 / 320, 0.1)[0]
-    d7 = sd.seed_su2_factor(1.0, 2**0.25, 2**-0.5, 0.1)[0]
-    k12 = sd.seed_kmn(1, 2, 1.0, 1.0, t_switch=0.1)[0]
+    b7 = sd.seed_delta_su2(1 / 160, 1 / 320, 0.1)[0]
+    d7 = sd.seed_su2_factor(2**0.25, 2**-0.5, 0.1)[0]
+    k12 = sd.seed_kmn(1, 2, 1.0, t_switch=0.1)[0]
     end = ModelParams.kmn(1, 2, 1.0)
     ac = sd._ac_series_unit(end.p, end.q, 15.0)
     return {
-        "b7": (sd._phi_delta_su2(1.0), b7.base, b7.lattice, 2.0),
-        "d7": (sd._phi_su2_factor(1.0), d7.base, d7.lattice, 0.0),
-        "kmn(1,2)": (sd._phi_kmn(1, 2, 1.0, 1.0), k12.base, k12.lattice, 0.0),
+        "b7": (sd._phi_delta_su2(), b7.base, b7.lattice, 2.0),
+        "d7": (sd._phi_su2_factor(), d7.base, d7.lattice, 0.0),
+        "kmn(1,2)": (sd._phi_kmn(1, 2, 1.0), k12.base, k12.lattice, 0.0),
         "cs": (sd._phi_cs(), np.zeros(4), ExponentLattice((NU0,)), 0.0),
         "ac(1,2)": (sd._phi_ac(end.p, end.q), ac.base, ac.lattice, 0.0),
     }

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,14 +26,14 @@ from g2flow.shooter import (
 
 class TestGammaCurve:
     def test_corner_flags(self):
-        gamma = GammaCurve(m=1, n=2, r0=1.0, k=1.5)
-        # the corner (0, mn r0^3) lies on gamma1 and on gamma2
+        gamma = GammaCurve(m=1, n=2, k=1.5)
+        # the corner (0, mn) lies on gamma1 and on gamma2
         assert gamma.corner_b == 2.0
         assert gamma.gamma2_margin(0.0, gamma.corner_b) == 0.0
 
     def test_gamma1_any_a(self):
-        gamma = GammaCurve(m=1, n=2, r0=1.0, k=1.5)
-        # the hits_gamma1 stop of a backward run reads b - mn r0^3, whatever a
+        gamma = GammaCurve(m=1, n=2, k=1.5)
+        # the hits_gamma1 stop of a backward run reads b - mn, whatever a
         stop = StopEvent.make("hits_gamma1", level=gamma.corner_b)
         z = np.array([gamma.corner_b, 0.1])
         g, _ = _margin_fn(stop, "u1_a", ModelParams.kmn(1, 2, 1.0), z)
@@ -40,25 +41,25 @@ class TestGammaCurve:
             assert g(a, z) == 0.0
 
     def test_gamma2_value(self):
-        gamma = GammaCurve(m=1, n=2, r0=1.0, k=1.5)
+        gamma = GammaCurve(m=1, n=2, k=1.5)
         assert gamma.gamma2_margin(1.0, 3.0) == pytest.approx(1.5 - 5.0 / math.sqrt(28.0))
 
     def test_k_range_enforced(self):
         with pytest.raises(ValueError):
-            GammaCurve(m=1, n=2, r0=1.0, k=2.5)
+            GammaCurve(m=1, n=2, k=2.5)
 
 
 class TestBackwardExtension:
     def test_small_c_hits_gamma1(self):
         params = ModelParams.kmn(1, 2, 1.0)
-        gamma = GammaCurve(m=1, n=2, r0=1.0)
+        gamma = GammaCurve(m=1, n=2)
         _, st = seed_ac_end(params, 1.0, 10.0)
         traj, hit = extend_ac_backward((params, st), gamma)
         assert hit == "gamma1"
 
     def test_large_c_hits_gamma2(self):
         params = ModelParams.kmn(1, 2, 1.0)
-        gamma = GammaCurve(m=1, n=2, r0=1.0)
+        gamma = GammaCurve(m=1, n=2)
         cscale = (54.0 / math.sqrt(3.0) * 2.0) ** (NUINF / 3.0)
         _, st = seed_ac_end(params, 8.0 * cscale, 10.0)
         traj, hit = extend_ac_backward((params, st), gamma)
@@ -66,7 +67,7 @@ class TestBackwardExtension:
 
     def test_mu_decreases_backward(self):
         params = ModelParams.kmn(1, 2, 1.0)
-        gamma = GammaCurve(m=1, n=2, r0=1.0)
+        gamma = GammaCurve(m=1, n=2)
         _, st = seed_ac_end(params, 1.0, 10.0)
         traj, _ = extend_ac_backward((params, st), gamma)
         mu = traj.zs[:, 1]
@@ -74,7 +75,7 @@ class TestBackwardExtension:
 
     def test_c_nonpositive_rejected(self):
         params = ModelParams.kmn(1, 2, 1.0)
-        gamma = GammaCurve(m=1, n=2, r0=1.0)
+        gamma = GammaCurve(m=1, n=2)
         _, st = seed_ac_end(params, 0.0, 10.0)
         with pytest.raises(SeedError):
             extend_ac_backward((params, st), gamma)
@@ -83,9 +84,9 @@ class TestBackwardExtension:
 class TestClosure:
     def test_forward_seed_roundtrip_beta(self):
         """Integrate a kmn seed forward, shoot back to the corner, recover beta = 1."""
-        m, n, r0, beta = 1, 2, 1.0, 1.0
-        params = ModelParams.kmn(m, n, r0)
-        _, st = seed_kmn(m, n, r0, beta, t_switch=0.02)
+        m, n, beta = 1, 2, 1.0
+        params = ModelParams.kmn(m, n, 1.0)
+        _, st = seed_kmn(m, n, beta, t_switch=0.02)
         seed = to_aparam(st)
         # forward in s (staying clear of the F = 0 wall), then reverse to the corner
         fwd = integrate(seed, seed.a, params, [], Budget(span=0.4), rtol=1e-12)
@@ -97,26 +98,26 @@ class TestClosure:
             [StopEvent.make("hits_corner", eps=1e-5)],
             Budget(span=end.a), direction=-1, rtol=1e-12,
         )
-        beta_rec, resid = closure_extract_beta(back, m, n, r0)
+        beta_rec, resid = closure_extract_beta(back, m, n)
         assert beta_rec == pytest.approx(beta, rel=1e-6)
         assert resid["beta_cross_mismatch"] < 1e-4
 
     def test_noncritical_gamma2_raises(self):
         params = ModelParams.kmn(1, 2, 1.0)
-        gamma = GammaCurve(m=1, n=2, r0=1.0)
+        gamma = GammaCurve(m=1, n=2)
         cscale = (54.0 / math.sqrt(3.0) * 2.0) ** (NUINF / 3.0)
         _, st = seed_ac_end(params, 8.0 * cscale, 10.0)
         traj, hit = extend_ac_backward((params, st), gamma)
         assert hit == "gamma2"
         with pytest.raises(ClosureError):
-            closure_extract_beta(traj, 1, 2, 1.0)
+            closure_extract_beta(traj, 1, 2)
 
 
 class TestNoCross:
     def test_ordered_solutions_stay_ordered_backward(self):
         """b1 > b2 with db1 < db2 at common s persists while in the region."""
         params = ModelParams.kmn(1, 2, 1.0)
-        gamma = GammaCurve(m=1, n=2, r0=1.0)
+        gamma = GammaCurve(m=1, n=2)
         cscale = (54.0 / math.sqrt(3.0) * 2.0) ** (NUINF / 3.0)
         trajs = []
         for c in (1.0 * cscale, 2.0 * cscale):
@@ -136,7 +137,7 @@ class TestNoCross:
         params = ModelParams.kmn(1, 2, 1.0)
         trajs = []
         for beta in (3.0, 4.0):
-            _, st = seed_kmn(1, 2, 1.0, beta, t_switch=0.02)
+            _, st = seed_kmn(1, 2, beta, t_switch=0.02)
             seed = to_aparam(st)
             trajs.append(integrate(seed, seed.a, params, [], Budget(span=2.0), rtol=1e-11))
         lo = max(trajs[0].ts[0], trajs[1].ts[0]) * 1.3
@@ -163,22 +164,35 @@ class TestBisections:
         assert max(incompletes) < min(alcs)
 
     def test_c_ac_scaling_equivariance(self):
-        """c_ac(m, n, lam r0) = lam^nu_inf c_ac(m, n, r0)."""
-        lam = 2.0
-        c1 = find_c_ac(1, 1, 1.0, tol=1e-5).critical_value
-        c2 = find_c_ac(1, 1, lam, tol=1e-5).critical_value
-        assert c2 / c1 == pytest.approx(lam**NUINF, rel=1e-3)
+        """c_ac(m, n, r0) = r0^nu_inf c_ac(m, n, 1), exactly: the shots run at r0 = 1."""
+        unit = find_c_ac(1, 2, 1.0, tol=1e-6)
+        for r0 in (0.5, 2.0):
+            res = find_c_ac(1, 2, r0, tol=1e-6)
+            scale = r0**NUINF
+            assert res.critical_value == scale * unit.critical_value
+            assert res.bracket == (scale * unit.bracket[0], scale * unit.bracket[1])
+            assert [c for c, _, _ in res.history] == [scale * c for c, _, _ in unit.history]
+            assert [(hit, miss) for _, hit, miss in res.history] == [(hit, miss) for _, hit, miss in unit.history]
+            assert res.closure == unit.closure
+            assert res.meta["T_switch"] == shooter.AC_T_SWITCH * r0
 
     def test_beta_ac_scale_invariant(self):
-        b1 = find_beta_ac(1, 1, 1.0, tol=1e-4).critical_value
-        b2 = find_beta_ac(1, 1, 2.0, tol=1e-4).critical_value
-        assert b2 == pytest.approx(b1, rel=1e-3)
+        """beta_ac is scale-free: the result at any r0 is the r0 = 1 result."""
+
+        def without_r0(res):
+            out = json.loads(res.to_json())
+            assert out["meta"].pop("r0") == res.meta["r0"]
+            return out
+
+        unit = without_r0(find_beta_ac(1, 2, 1.0, tol=1e-6))
+        for r0 in (0.5, 1.5, 2.0):
+            assert without_r0(find_beta_ac(1, 2, r0, tol=1e-6)) == unit
 
     def test_critical_trajectory_respects_k_bound(self):
         """On the critical backward run, k a > gamma2-expression everywhere."""
         res = find_c_ac(1, 2, 1.0, tol=1e-6)
         params = ModelParams.kmn(1, 2, 1.0)
-        gamma = GammaCurve(m=1, n=2, r0=1.0)
+        gamma = GammaCurve(m=1, n=2)
         _, st = seed_ac_end(params, res.critical_value, 10.0)
         traj, _ = extend_ac_backward((params, st), gamma)
         # the result carries this same run
