@@ -18,15 +18,26 @@ dense interpolant, which costs three more right-hand-side evaluations, is
 built only when something reads it: the step that locates a stop event by
 root bracketing, or a later ``Trajectory.interpolate``.
 
-A leg steps in one of two clocks.  Every leg but one steps in the parameter
-it records (t, or s = a).  A forward ``u1_arc`` leg that starts strictly
-inside the death quadrant steps in the Sundman clock sigma, with
-d/dsigma = w sqrt(F) d/dt and w = da, on the state (x1, w, a, b, t).  There
-the arc-length field's 1/sqrt(F) and 1/sqrt(x2) singularities at the F -> 0
-end are gone: the field is polynomial apart from sqrt(F), and the end is the
-regular point w = 0, where t stops advancing.  Such a leg is recorded in its
-arc-length view (t, (x1, w^2, a, b)), so it reads like any other ``u1_arc``
-trajectory; its stops and its budget are evaluated on that view.
+A leg steps in one of three clocks.  A ``u1_arc`` leg steps in the
+parameter it records, t, with one exception: a forward ``u1_arc`` leg that
+starts strictly inside the death quadrant steps in the Sundman clock sigma,
+with d/dsigma = w sqrt(F) d/dt and w = da, on the state (x1, w, a, b, t).
+There the arc-length field's 1/sqrt(F) and 1/sqrt(x2) singularities at the
+F -> 0 end are gone: the field is polynomial apart from sqrt(F), and the end
+is the regular point w = 0, where t stops advancing.
+
+Every ``u1_a`` leg steps in the log-a clock sigma = log(a / a_start), with
+d/dsigma = a d/da, on the state (b, mu, a).  The backward legs of c_ac
+shooting run into the corner a -> 0, where the solution's scale shrinks with
+a: a step size that was right in s = a is too large one step later, so
+nearly every step there was rejected once.  In log a the leg is scale-free:
+the critical (1,2) leg from a = 30.4 to the corner at a = 1e-5 takes 49 step
+attempts, where s = a took 97.
+
+A leg in either sigma clock is recorded in its view, the arc-length view
+(t, (x1, w^2, a, b)) or the s = a view (a, (b, mu)), so it reads like any
+other trajectory of its system; its stops and its budget are evaluated on
+that view.
 """
 from __future__ import annotations
 
@@ -84,17 +95,22 @@ def _vf_u1_arc(params: ModelParams) -> Callable:
     return fun
 
 
-def _vf_u1_a(params: ModelParams) -> Callable:
-    def fun(s, z):
-        b, mu = z.tolist()
-        f, fa, fb = eval_F(float(s), b, params)
+def _vf_u1_log_a(params: ModelParams) -> Callable:
+    """The s = a field for (b, mu = db/da) times a, on (b, mu, a): d/dsigma = a d/da."""
+
+    def fun(_sigma, y):
+        b, mu, a = y.tolist()
+        f, fa, fb = eval_F(a, b, params)
         f = f if f > 0 else _FLOOR
-        return np.array([mu, mu * (fa - 2 * mu * fb) / (2 * f)])
+        amu = a * mu
+        return np.array([amu, amu * (fa - 2 * mu * fb) / (2 * f), a])
 
     return fun
 
 
-_VECTOR_FIELDS = {"u1_arc": _vf_u1_arc, "u1_a": _vf_u1_a}
+def _log_a_view(_sigma, y) -> tuple[float, np.ndarray]:
+    """The s = a view (a, (b, mu)) of a log-a clock state; (b, mu) is a slice of y."""
+    return y[2], y[:2]
 
 
 def _vf_u1_sundman(params: ModelParams) -> Callable:
@@ -309,33 +325,37 @@ class _ViewedStep:
     """A step taken in another clock, read in the parameter of its view.
 
     It covers the clock interval [tau_lo, tau_hi], cut at the leg's stop, over
-    which the viewed parameter rises from t_min to t_max; ``__call__(t)``
-    inverts that parameter on the step's interpolant.
+    which the viewed parameter runs from t_lo to t_hi, rising or falling;
+    ``__call__(t)`` inverts that parameter on the step's interpolant.
     """
 
-    __slots__ = ("step", "view", "tau_lo", "tau_hi", "t_min", "t_max")
+    __slots__ = ("step", "view", "tau_lo", "tau_hi", "t_lo", "t_hi", "t_min", "t_max", "sign")
 
-    def __init__(self, step: _Step, view: Callable, tau_hi: float, t_min: float, t_max: float):
+    def __init__(self, step: _Step, view: Callable, tau_hi: float, t_lo: float, t_hi: float):
         self.step, self.view = step, view
         self.tau_lo, self.tau_hi = step.t_old, tau_hi
-        self.t_min, self.t_max = t_min, t_max
+        self.t_lo, self.t_hi = t_lo, t_hi
+        self.t_min, self.t_max = min(t_lo, t_hi), max(t_lo, t_hi)
+        self.sign = 1.0 if t_hi >= t_lo else -1.0
 
     def _at(self, tau: float) -> tuple[float, np.ndarray]:
         return self.view(tau, self.step(tau))
 
     def __call__(self, t):
-        if t <= self.t_min:
+        # on a falling view, -t rises: the comparisons below are on sign * t
+        s = self.sign
+        if s * t <= s * self.t_lo:
             tau = self.tau_lo
-        elif t >= self.t_max or t >= self._at(self.tau_hi)[0]:
-            # the interpolant's parameter at tau_hi may fall short of t_max,
+        elif s * t >= s * self.t_hi or s * t >= s * self._at(self.tau_hi)[0]:
+            # the interpolant's parameter at tau_hi may fall short of t_hi,
             # by ulps, or by the located budget stop's tolerance
             tau = self.tau_hi
         else:
             tau = brentq(
                 lambda u: self._at(u)[0] - t,
-                self.tau_lo,
-                self.tau_hi,
-                xtol=4 * np.finfo(float).eps * max(1.0, abs(self.tau_hi)),
+                min(self.tau_lo, self.tau_hi),
+                max(self.tau_lo, self.tau_hi),
+                xtol=4 * np.finfo(float).eps * max(1.0, abs(self.tau_lo), abs(self.tau_hi)),
                 rtol=4 * np.finfo(float).eps,
             )
         return self._at(tau)[1]
@@ -427,8 +447,8 @@ def integrate(
 ) -> Trajectory:
     """Integrate from the seed until the first stop event or budget exhaustion.
 
-    A forward ``u1_arc`` run from a seed strictly inside the death quadrant
-    steps in the Sundman clock (see the module docstring).
+    A ``u1_a`` run, and a forward ``u1_arc`` run from a seed strictly inside
+    the death quadrant, step in a sigma clock (see the module docstring).
     """
     system, z0 = state_to_vec(seed)
     if not seed.on_principal_locus(params):
@@ -450,19 +470,34 @@ def integrate(
         and seed.a > 0
         and death_margin(seed.a, seed.b, seed.da, seed.db, params.b_floor, CHAMBER_CUSHION) > 0
     )
-    if sundman:
-        # the Sundman clock: the stops read the arc-length view, and the budget
-        # and the end w = 0, where t stops advancing and db = x1 / w diverges,
-        # become located stops
-        fun, view = _vf_u1_sundman(params), _sundman_view
-        tau0, y0, tau_end = 0.0, np.array([z0[0], seed.da, z0[2], z0[3], t_start]), math.inf
-        margins = [(lambda tau, y, g=g: g(*view(tau, y)), d, kind) for g, d, kind in margins] + [
-            (lambda _tau, y: y[1], -1, "blow_up"),
-            (lambda _tau, y: t_end - y[4], -1, "budget_exhausted"),
-        ]
-    else:
-        fun, view = _VECTOR_FIELDS[system](params), _same_view
+    viewed = sundman or system == "u1_a"
+    if not viewed:
+        fun, view = _vf_u1_arc(params), _same_view
         tau0, y0, tau_end = t_start, z0, t_end
+    else:
+        # sigma runs towards +-inf: the stops read the view, and the budget is
+        # a located stop
+        if sundman:
+            # the end w = 0, where t stops advancing and db = x1 / w diverges,
+            # is a located stop too
+            fun, view = _vf_u1_sundman(params), _sundman_view
+            y0 = np.array([z0[0], seed.da, z0[2], z0[3], t_start])
+            clock_stops = [
+                (lambda _tau, y: y[1], -1, "blow_up"),
+                (lambda _tau, y: t_end - y[4], -1, "budget_exhausted"),
+            ]
+        else:
+            # a is an unknown: a_start exp(sigma) left the closure fit too few
+            # step ends near the corner.  A budget at a <= 0 has no finite
+            # sigma, but F(0, b) <= 0: such a leg meets F -> 0 and ends at a
+            # stop, at max_steps or in a step underflow
+            if not t_start > 0:
+                raise SeedError(f"an a-parametrized seed needs a > 0, got a = {t_start}")
+            fun, view = _vf_u1_log_a(params), _log_a_view
+            y0 = np.array([z0[0], z0[1], t_start])
+            clock_stops = [(lambda _tau, y: direction * (t_end - y[2]), -1, "budget_exhausted")]
+        tau0, tau_end = 0.0, direction * math.inf
+        margins = [(lambda tau, y, g=g: g(*view(tau, y)), d, kind) for g, d, kind in margins] + clock_stops
 
     solver = DOP853(fun, tau0, y0, tau_end, rtol=rtol, atol=atol)
     t_first, z_first = view(tau0, y0)
@@ -491,7 +526,7 @@ def integrate(
                     events.append(("blow_up", ts[-1], zs[-1].copy()))
                     break
                 raise StiffnessError(
-                    f"step size underflow at parameter {solver.t}",
+                    f"step size underflow at parameter {ts[-1]}",
                     last_param=ts[-1],
                     last_state=zs[-1],
                 )
@@ -523,11 +558,14 @@ def integrate(
             if hit is not None:
                 troot, kind = hit
                 t_ev, z_ev = view(troot, sol(troot))
-                if sundman:
+                if viewed:
                     # the view's parameter, read off the interpolant, may fall a
-                    # few ulps below the step's start; past w = 0 it falls
-                    # again, so the step's end is no upper bound
-                    t_ev = t_end if kind == "budget_exhausted" else max(t_ev, ts[-1])
+                    # few ulps short of the step's start; past w = 0 it turns
+                    # back, so the step's end is no bound
+                    if kind == "budget_exhausted":
+                        t_ev = t_end
+                    else:
+                        t_ev = max(t_ev, ts[-1]) if direction > 0 else min(t_ev, ts[-1])
                     sol = _ViewedStep(sol, view, troot, ts[-1], t_ev)
                 segments.append(sol)
                 ts.append(t_ev)
@@ -535,7 +573,7 @@ def integrate(
                 events.append((kind, t_ev, z_ev.copy()))
                 break
 
-            segments.append(_ViewedStep(sol, view, tau_new, ts[-1], t_new) if sundman else sol)
+            segments.append(_ViewedStep(sol, view, tau_new, ts[-1], t_new) if viewed else sol)
             ts.append(t_new)
             zs.append(z_new)
             if solver.status == "finished":
