@@ -14,7 +14,6 @@ from .errors import (
     StiffnessError,
 )
 from .invariants import (
-    Param,
     U1State,
     eval_F,
     eval_lambda,

@@ -15,7 +15,7 @@ from .classify import ClassifyBudget, chamber_membership, classify_trajectory
 from .config import RunConfig, load_config
 from .errors import BracketError, ConfigError, ConstraintError, G2FlowError
 from .flow import DEGENERATION_STOPS, Budget, StopEvent, Trajectory, integrate, vec_to_state
-from .invariants import eval_F, hamiltonian, mean_curvature
+from .invariants import U1State, eval_F, hamiltonian, mean_curvature
 from .params import ModelParams
 from .seeds import SeedSpec
 from .shooter import BETA_GAP, find_beta_ac, find_c_ac, forward_seed, forward_shot
@@ -50,8 +50,6 @@ def _csv_rows(traj: Trajectory) -> list[str]:
         st = traj.state(i)
         a, b, da, db = st.a, st.b, st.da, st.db
         f = eval_F(a, b, params)[0]
-        tval = pv if traj.system == "u1_arc" else float("nan")
-        sval = a if traj.system == "u1_arc" else pv
         try:
             h = hamiltonian(st, params)
         except G2FlowError:
@@ -71,7 +69,7 @@ def _csv_rows(traj: Trajectory) -> list[str]:
             ]
         rows.append(
             ",".join(
-                [_fmt(pv), _fmt(tval), _fmt(sval), _fmt(a), _fmt(b), _fmt(da), _fmt(db), _fmt(f), _fmt(h), _fmt(mc)]
+                [_fmt(pv), _fmt(pv), _fmt(a), _fmt(a), _fmt(b), _fmt(da), _fmt(db), _fmt(f), _fmt(h), _fmt(mc)]
                 + [str(fl) for fl in flags]
             )
         )
@@ -229,11 +227,16 @@ def cmd_figure1(cfg: RunConfig) -> dict:
         else:
             side, _ = forward_shot(m, n, beta, rtol=cfg.rtol)
             tag = {"alc": "ALC", "incomplete": "Incomplete"}.get(side, "Indeterminate")
-        # the forward seed is at r0 = 1: a and b scale as r0^3, mu = db/da not
-        seed = forward_seed(m, n, beta)
-        seed = replace(seed, a=seed.a * s3, b=seed.b * s3)
-        span = 12.0 * s3 * m * n
-        traj = integrate(seed, seed.a, params, DEGENERATION_STOPS, Budget(span=span), rtol=cfg.rtol)
+        # the forward seed is at r0 = 1: t scales as r0, a and b as r0^3, da
+        # and db as r0^2
+        t0, seed = forward_seed(m, n, beta)
+        seed = U1State(a=seed.a * s3, b=seed.b * s3, da=seed.da * r0**2, db=seed.db * r0**2)
+        # the AC member is close to the cone a = (sqrt3/54) t^3 whose tip lies
+        # (54 mn / sqrt3)^(1/3) before the singular orbit: this span takes it
+        # to a = 12 mn, and the ALC curves, which grow faster, a little beyond
+        cone = 54.0 / math.sqrt(3.0) * m * n
+        span = r0 * ((12.0 * cone) ** (1.0 / 3.0) - cone ** (1.0 / 3.0))
+        traj = integrate(seed, t0 * r0, params, DEGENERATION_STOPS, Budget(span=span), rtol=cfg.rtol)
         fname = f"curve_{i:02d}_{tag.lower()}.csv"
         write_trajectory_csv(os.path.join(cfg.out_dir, fname), traj)
         curves.append({"file": fname, "beta": beta, "verdict": tag})

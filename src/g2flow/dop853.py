@@ -9,6 +9,8 @@ products and the error norm, step controller and interpolant are scipy's.  So
 steps, interpolants and roots equal scipy's bit for bit.  The port leaves out
 only per-call overhead (scipy's wrappers around every right-hand-side
 evaluation and its argument checks) and the options g2flow does not use.
+It departs from scipy in one place: a step that has become infinite, towards
+an infinite bound, fails, where scipy's rejection loop never returns.
 
 The coefficient tables below are scipy's ``dop853_coefficients.py`` with its
 decimal literals.  They and the code ported from scipy carry scipy's licence:
@@ -271,7 +273,7 @@ class DOP853:
     ``DOP853(fun, t0, y0, t_bound, rtol=..., atol=...)`` steps ``y' = fun(t, y)``
     from ``t0`` towards ``t_bound`` once per ``step()`` call, until ``status``
     is ``finished`` (``t`` reached ``t_bound``) or ``failed`` (the step
-    underflowed).  ``nfev`` counts right-hand-side evaluations: two at set-up
+    underflowed, or it or ``t`` became infinite).  ``nfev`` counts right-hand-side evaluations: two at set-up
     (one if ``t_bound == t0``) and ``n_stages`` per step attempt.
     ``K_extended`` holds the stages of the last accepted step in an array of
     its own, so a record of that step may keep it and build the step's
@@ -350,6 +352,12 @@ class DOP853:
                 t_new = self.t_bound
             h = t_new - t
             h_abs = abs(h)
+            if not (math.isfinite(t_new) and math.isfinite(h_abs)):
+                # h_abs overflowed to inf (or t did), towards an infinite
+                # t_bound: the stages are NaN, and a rejection leaves inf
+                # times MIN_FACTOR, so the loop would never return.  scipy's
+                # stepper loops there; this one fails the step
+                return False
 
             K[0] = f
             for s, a, c in _STEP_STAGES:

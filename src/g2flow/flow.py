@@ -1,15 +1,10 @@
 """Right-hand sides and adaptive integration for the torsion-free flow.
 
-Every run is on the SU(2) x SU(2) x U(1)-invariant system, a = a_1 = a_2 and
-b = a_3, in one of two equivalent formulations:
-
-* ``u1_arc`` -- the U(1) reduction of the Hamiltonian system,
-                (x1, x2, y1, y2) = (da*db, da^2, a, b) in the arc-length
-                parameter t,
-* ``u1_a``   -- the second-order equation for b(s) with s = a, as the
-                first-order pair (b, mu = db/da).
-
-`integrate` takes a `U1State`, the state every seed constructor emits.
+Every run is on one system, ``u1_arc``: the U(1) reduction of the
+SU(2) x SU(2) x U(1)-invariant Hamiltonian system, a = a_1 = a_2 and b = a_3,
+on (x1, x2, y1, y2) = (da*db, da^2, a, b) in the arc-length parameter t.
+`integrate` takes a `U1State`, the state every seed constructor emits, and
+records every trajectory in t.
 
 Integration is the explicit embedded Runge-Kutta pair DOP853, of order
 8(5,3), in the port of scipy's stepper in ``dop853``, which steps bit for bit
@@ -18,26 +13,29 @@ dense interpolant, which costs three more right-hand-side evaluations, is
 built only when something reads it: the step that locates a stop event by
 root bracketing, or a later ``Trajectory.interpolate``.
 
-A leg steps in one of three clocks.  A ``u1_arc`` leg steps in the
-parameter it records, t, with one exception: a forward ``u1_arc`` leg that
-starts strictly inside the death quadrant steps in the Sundman clock sigma,
-with d/dsigma = w sqrt(F) d/dt and w = da, on the state (x1, w, a, b, t).
-There the arc-length field's 1/sqrt(F) and 1/sqrt(x2) singularities at the
-F -> 0 end are gone: the field is polynomial apart from sqrt(F), and the end
-is the regular point w = 0, where t stops advancing.
+A leg steps in one of three clocks, each a time change d/dsigma = k d/dt of
+the one field (Hairer, Lubich & Wanner, *Geometric Numerical Integration*,
+ch. VIII), picked from the leg's direction and start:
 
-Every ``u1_a`` leg steps in the log-a clock sigma = log(a / a_start), with
-d/dsigma = a d/da, on the state (b, mu, a).  The backward legs of c_ac
-shooting run into the corner a -> 0, where the solution's scale shrinks with
-a: a step size that was right in s = a is too large one step later, so
-nearly every step there was rejected once.  In log a the leg is scale-free:
-the critical (1,2) leg from a = 30.4 to the corner at a = 1e-5 takes 49 step
-attempts, where s = a took 97.
+* a forward leg steps in t, unless it starts inside the death quadrant;
+* a forward leg that starts inside the death quadrant (uncushioned, so a leg
+  from a located entry qualifies) steps in the Sundman clock, k = w sqrt(F)
+  with w = da, on (x1, w, a, b, t).  There the arc-length field's 1/sqrt(F)
+  and 1/sqrt(x2) singularities at the F -> 0 end are gone: the field is
+  polynomial apart from sqrt(F), and the end is the regular point w = 0,
+  where t stops advancing;
+* a backward leg steps in the log-a clock sigma = log(a / a_start),
+  k = a / sqrt(x2), on (x1, x2, a, b, t).  The backward legs of c_ac
+  shooting run into the corner a -> 0, where the solution's scale shrinks
+  with a: a step size that was right in t is too large one step later.  In
+  log a the leg is scale-free.  The state carries x2, not w = da: on
+  (x1, w, a, b, t), c_ac(1,1) moved by 4.7e-8 between rtol 1e-11 and 1e-13,
+  on (x1, x2, a, b, t) by 1.8e-10.
 
-A leg in either sigma clock is recorded in its view, the arc-length view
-(t, (x1, w^2, a, b)) or the s = a view (a, (b, mu)), so it reads like any
-other trajectory of its system; its stops and its budget are evaluated on
-that view.
+A leg in either sigma clock carries t as its fifth unknown and is recorded
+in the arc-length view (t, (x1, x2, a, b)), so it reads like any other
+trajectory; its stops are evaluated on that view, and its budget is a
+located stop in t.
 """
 from __future__ import annotations
 
@@ -48,9 +46,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dop853 import DOP853, brentq, dense_output
-from .errors import DomainError, SeedError, StiffnessError
+from .errors import SeedError, StiffnessError
 from .invariants import (
-    Param,
     U1State,
     alc_margin,
     death_margin,
@@ -79,7 +76,8 @@ _FLOOR = 1e-300
 # much cheaper than numpy scalars'.  Python floats raise on overflow in ``**``
 # and on division by zero where numpy returns inf or nan, and rejected trial
 # stages do overflow; so eval_F squares by multiplication and every divisor
-# here is floored away from zero.
+# here is floored away from zero, by a conditional rather than a call to max,
+# which costs more than the field's arithmetic; a NaN passes either way.
 
 
 def _vf_u1_arc(params: ModelParams) -> Callable:
@@ -88,29 +86,30 @@ def _vf_u1_arc(params: ModelParams) -> Callable:
     def fun(_t, z):
         x1, x2, a, b = z.tolist()
         f, fa, fb = eval_F(a, b, params)
-        rootf = math.sqrt(max(f, _FLOOR))
-        rootx = math.sqrt(max(x2, _FLOOR))
+        rootf = math.sqrt(_FLOOR if f < _FLOOR else f)
+        rootx = math.sqrt(_FLOOR if x2 < _FLOOR else x2)
         return np.array([fa / (4 * rootf), fb / (2 * rootf), rootx, x1 / rootx])
 
     return fun
 
 
-def _vf_u1_log_a(params: ModelParams) -> Callable:
-    """The s = a field for (b, mu = db/da) times a, on (b, mu, a): d/dsigma = a d/da."""
+def _vf_u1_backward(params: ModelParams) -> Callable:
+    """The arc-length field times a / sqrt(x2), on (x1, x2, a, b, t): d/dsigma = a d/da."""
 
     def fun(_sigma, y):
-        b, mu, a = y.tolist()
+        x1, x2, a, b, _t = y.tolist()
         f, fa, fb = eval_F(a, b, params)
-        f = f if f > 0 else _FLOOR
-        amu = a * mu
-        return np.array([amu, amu * (fa - 2 * mu * fb) / (2 * f), a])
+        rootf = math.sqrt(_FLOOR if f < _FLOOR else f)
+        rootx = math.sqrt(_FLOOR if x2 < _FLOOR else x2)
+        k = a / rootx
+        return np.array([k * fa / (4 * rootf), k * fb / (2 * rootf), a, k * x1 / rootx, k])
 
     return fun
 
 
-def _log_a_view(_sigma, y) -> tuple[float, np.ndarray]:
-    """The s = a view (a, (b, mu)) of a log-a clock state; (b, mu) is a slice of y."""
-    return y[2], y[:2]
+def _backward_view(_sigma, y) -> tuple[float, np.ndarray]:
+    """The arc-length view (t, (x1, x2, a, b)) of a log-a clock state; (x1, x2, a, b) is a slice of y."""
+    return y[4], y[:4]
 
 
 def _vf_u1_sundman(params: ModelParams) -> Callable:
@@ -119,7 +118,7 @@ def _vf_u1_sundman(params: ModelParams) -> Callable:
     def fun(_sigma, y):
         x1, w, a, b, _t = y.tolist()
         f, fa, fb = eval_F(a, b, params)
-        rootf = math.sqrt(max(f, _FLOOR))
+        rootf = math.sqrt(_FLOOR if f < _FLOOR else f)
         return np.array([fa * w / 4, fb / 4, w * w * rootf, x1 * rootf, w * rootf])
 
     return fun
@@ -138,29 +137,23 @@ def _same_view(t, z):
 # -- state <-> vector conversions --------------------------------------------
 
 
-def state_to_vec(state: U1State) -> tuple[str, np.ndarray]:
-    if state.param is Param.ARC_LENGTH_T:
-        return "u1_arc", np.array([state.da * state.db, state.da**2, state.a, state.b])
-    return "u1_a", np.array([state.b, state.db / state.da])
+def state_to_vec(state: U1State) -> np.ndarray:
+    """(x1, x2, a, b) of the state."""
+    return np.array([state.da * state.db, state.da**2, state.a, state.b])
 
 
-def vec_to_state(system: str, param_value: float, z: np.ndarray) -> U1State:
-    if system == "u1_arc":
-        x1, x2, a, b = z
-        da = math.sqrt(max(x2, 0.0))
-        return U1State(a=a, b=b, da=da, db=x1 / da if da > 0 else math.inf)
-    b, mu = z
-    return U1State(a=param_value, b=b, da=1.0, db=mu, param=Param.A_EQUALS_S)
+def vec_to_state(_system: str, _t: float, z: np.ndarray) -> U1State:
+    """The state at (x1, x2, a, b); it does not depend on the system name or on t."""
+    x1, x2, a, b = z
+    da = math.sqrt(max(x2, 0.0))
+    return U1State(a=a, b=b, da=da, db=x1 / da if da > 0 else math.inf)
 
 
-def _ab_view(system: str, t: float, z: np.ndarray) -> tuple[float, float, float, float]:
-    """(a, b, da, db) in whatever derivative normalization the system carries."""
-    if system == "u1_arc":
-        x1, x2, a, b = z
-        da = math.sqrt(max(x2, _FLOOR))
-        return a, b, da, x1 / da
-    b, mu = z
-    return t, b, 1.0, mu
+def _ab_view(z: np.ndarray) -> tuple[float, float, float, float]:
+    """(a, b, da, db) at (x1, x2, a, b)."""
+    x1, x2, a, b = z
+    da = math.sqrt(max(x2, _FLOOR))
+    return a, b, da, x1 / da
 
 
 def _on_symmetric_locus(state: U1State) -> bool:
@@ -194,7 +187,7 @@ class StopEvent:
 DEGENERATION_STOPS = (StopEvent.make("F_vanishes"), StopEvent.make("blow_up"))
 
 
-def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0) -> tuple[Callable, int]:
+def _margin_fn(event: StopEvent, params: ModelParams, z0) -> tuple[Callable, int]:
     """Return (g(t, z), direction): event fires when g crosses 0 in direction."""
     d = dict(event.data)
     bfloor = params.b_floor
@@ -202,8 +195,8 @@ def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0) -> tuple[
     if event.kind == "F_vanishes":
         eps = F_VANISH_EPS
 
-        def g(t, z):
-            a, b, _, _ = _ab_view(system, t, z)
+        def g(_t, z):
+            a, b = z[2], z[3]
             return eval_F(a, b, params)[0] - eps * (b * b + abs(params.p * params.q)) ** 2
 
         return g, -1
@@ -211,25 +204,22 @@ def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0) -> tuple[
     if event.kind == "enters_alc_chamber":
         strict = d.get("strict", False)
 
-        def g(t, z):
-            a, b, da, db = _ab_view(system, t, z)
-            return alc_margin(a, b, da, db, bfloor, CHAMBER_CUSHION, strict)
+        def g(_t, z):
+            return alc_margin(*_ab_view(z), bfloor, CHAMBER_CUSHION, strict)
 
         return g, +1
 
     if event.kind == "enters_death_chamber":
 
-        def g(t, z):
-            a, b, da, db = _ab_view(system, t, z)
-            return death_margin(a, b, da, db, bfloor, CHAMBER_CUSHION)
+        def g(_t, z):
+            return death_margin(*_ab_view(z), bfloor, CHAMBER_CUSHION)
 
         return g, +1
 
     if event.kind == "reaches_a_equals_b":
 
-        def g(t, z):
-            a, b, _, _ = _ab_view(system, t, z)
-            return b - a
+        def g(_t, z):
+            return z[3] - z[2]
 
         return g, -1
 
@@ -239,7 +229,7 @@ def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0) -> tuple[
         # 1 / ALC_HORIZON and 1 / ALC_HORIZON_B
 
         def g(t, z):
-            _, b, _, _ = _ab_view(system, t, z)
+            b = z[3]
             return min(t**3 - 6 * ALC_HORIZON * b, b - ALC_HORIZON_B * bfloor)
 
         return g, +1
@@ -247,35 +237,32 @@ def _margin_fn(event: StopEvent, system: str, params: ModelParams, z0) -> tuple[
     if event.kind == "hits_gamma1":
         level = d["level"]
 
-        def g(t, z):
-            _, b, _, _ = _ab_view(system, t, z)
-            return b - level
+        def g(_t, z):
+            return z[3] - level
 
         return g, -1
 
     if event.kind == "hits_gamma2":
         k, m2, n2 = d["k"], d["m2r03"], d["n2r03"]
 
-        def g(t, z):
-            a, b, _, _ = _ab_view(system, t, z)
-            return gamma2_margin(a, b, k, m2, n2)
+        def g(_t, z):
+            return gamma2_margin(z[2], z[3], k, m2, n2)
 
         return g, -1
 
     if event.kind == "hits_corner":
         eps = d["eps"]
 
-        def g(t, z):
-            a, _, _, _ = _ab_view(system, t, z)
-            return a - eps
+        def g(_t, z):
+            return z[2] - eps
 
         return g, -1
 
     if event.kind == "blow_up":
         limit = BLOWUP_FACTOR * max(np.max(np.abs(z0)), params.scale3, 1.0)
 
-        def g(t, z):
-            a, b, da, db = _ab_view(system, t, z)
+        def g(_t, z):
+            a, b, da, db = _ab_view(z)
             return limit - max(abs(a), abs(b), abs(da), abs(db))
 
         return g, -1
@@ -381,7 +368,7 @@ class Trajectory:
     events: list = field(default_factory=list)  # (kind, param value, state vector)
     # one callable per accepted step, covering [ts[i], ts[i+1]] (the last one
     # may reach past an event); integrate stores lazy _Step records, wrapped
-    # in _ViewedStep on a Sundman-clock leg
+    # in _ViewedStep on a leg in a sigma clock
     segments: list = field(default_factory=list)
 
     def __len__(self):
@@ -416,13 +403,12 @@ class Trajectory:
         return self.segments[i].points(k, self.ts[i], self.ts[i + 1])
 
     def ab_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        out = np.array([_ab_view(self.system, t, z) for t, z in zip(self.ts, self.zs)])
-        return out[:, 0], out[:, 1], out[:, 2], out[:, 3]
+        x1, x2, a, b = self.zs.T
+        da = np.sqrt(np.maximum(x2, _FLOOR))
+        return a, b, da, x1 / da
 
     def hamiltonian_drift(self) -> tuple[float, float]:
-        """(max |H| over samples, max orbital volume) for arc-length runs."""
-        if self.system == "u1_a":
-            raise DomainError("Hamiltonian drift is tracked on arc-length runs only")
+        """(max |H| over samples, max orbital volume 2 da^2 db)."""
         hmax = 0.0
         vmax = 0.0
         for i in range(len(self.ts)):
@@ -445,12 +431,12 @@ def integrate(
     direction: int = +1,
     rtol: float = 1e-11,
 ) -> Trajectory:
-    """Integrate from the seed until the first stop event or budget exhaustion.
+    """Integrate from the seed at t_start until the first stop event or budget exhaustion.
 
-    A ``u1_a`` run, and a forward ``u1_arc`` run from a seed strictly inside
-    the death quadrant, step in a sigma clock (see the module docstring).
+    A backward run, and a forward run from a seed inside the death quadrant,
+    step in a sigma clock (see the module docstring).
     """
-    system, z0 = state_to_vec(seed)
+    z0 = state_to_vec(seed)
     if not seed.on_principal_locus(params):
         raise SeedError(f"seed {seed} is off the admissible locus")
     stops = stops or []
@@ -461,43 +447,37 @@ def integrate(
     budget = budget or Budget(span=100.0 * max(1.0, abs(t_start)))
 
     t_end = t_start + direction * budget.span
-    margins = [(*_margin_fn(ev, system, params, z0), ev.kind) for ev in stops]
+    margins = [(*_margin_fn(ev, params, z0), ev.kind) for ev in stops]
     atol = ATOL_SCALE * max(1.0, float(np.max(np.abs(z0))))
 
-    sundman = (
-        direction > 0
-        and system == "u1_arc"
-        and seed.a > 0
-        and death_margin(seed.a, seed.b, seed.da, seed.db, params.b_floor, CHAMBER_CUSHION) > 0
-    )
-    viewed = sundman or system == "u1_a"
+    if direction < 0:
+        # da > 0 on the locus, so a falls and sigma = log(a / a_start) runs to
+        # -inf.  A leg that meets F -> 0 before a -> 0 ends at a stop, at
+        # max_steps or in a failed step
+        if not seed.a > 0:
+            raise SeedError(f"a backward leg steps in log a and needs a > 0, got a = {seed.a}")
+        fun, view = _vf_u1_backward(params), _backward_view
+        y0 = np.append(z0, t_start)
+        clock_stops = []
+    elif seed.a > 0 and death_margin(seed.a, seed.b, seed.da, seed.db, params.b_floor, 0.0) > 0:
+        # the end w = 0, where t stops advancing and db = x1 / w diverges, is a
+        # located stop
+        fun, view = _vf_u1_sundman(params), _sundman_view
+        y0 = np.array([z0[0], seed.da, z0[2], z0[3], t_start])
+        clock_stops = [(lambda _tau, y: y[1], -1, "blow_up")]
+    else:
+        fun, view, y0 = _vf_u1_arc(params), _same_view, z0
+    viewed = view is not _same_view
     if not viewed:
-        fun, view = _vf_u1_arc(params), _same_view
-        tau0, y0, tau_end = t_start, z0, t_end
+        tau0, tau_end = t_start, t_end
     else:
         # sigma runs towards +-inf: the stops read the view, and the budget is
-        # a located stop
-        if sundman:
-            # the end w = 0, where t stops advancing and db = x1 / w diverges,
-            # is a located stop too
-            fun, view = _vf_u1_sundman(params), _sundman_view
-            y0 = np.array([z0[0], seed.da, z0[2], z0[3], t_start])
-            clock_stops = [
-                (lambda _tau, y: y[1], -1, "blow_up"),
-                (lambda _tau, y: t_end - y[4], -1, "budget_exhausted"),
-            ]
-        else:
-            # a is an unknown: a_start exp(sigma) left the closure fit too few
-            # step ends near the corner.  A budget at a <= 0 has no finite
-            # sigma, but F(0, b) <= 0: such a leg meets F -> 0 and ends at a
-            # stop, at max_steps or in a step underflow
-            if not t_start > 0:
-                raise SeedError(f"an a-parametrized seed needs a > 0, got a = {t_start}")
-            fun, view = _vf_u1_log_a(params), _log_a_view
-            y0 = np.array([z0[0], z0[1], t_start])
-            clock_stops = [(lambda _tau, y: direction * (t_end - y[2]), -1, "budget_exhausted")]
+        # a located stop in t
         tau0, tau_end = 0.0, direction * math.inf
-        margins = [(lambda tau, y, g=g: g(*view(tau, y)), d, kind) for g, d, kind in margins] + clock_stops
+        margins = [(lambda tau, y, g=g: g(*view(tau, y)), d, kind) for g, d, kind in margins] + [
+            *clock_stops,
+            (lambda _tau, y: direction * (t_end - y[4]), -1, "budget_exhausted"),
+        ]
 
     solver = DOP853(fun, tau0, y0, tau_end, rtol=rtol, atol=atol)
     t_first, z_first = view(tau0, y0)
@@ -517,16 +497,17 @@ def integrate(
                 break
             solver.step()
             if solver.status == "failed":
-                # step underflow.  Only legs outside the Sundman clock still
-                # reach it, at the singular F -> 0 end (the u1_a runs of figure
-                # 1's Incomplete curves do); with a blow_up stop registered it
-                # stands there for that finite-time degeneration.  A Sundman
-                # leg ends at the regular point w = 0, so there it is a failure.
-                if not sundman and any(ev.kind == "blow_up" for ev in stops):
+                # the step size underflowed, or overflowed to inf.  Only legs
+                # outside the Sundman clock still underflow, at the singular
+                # F -> 0 end (figure 1's Incomplete curves do); with a blow_up
+                # stop registered it stands there for that finite-time
+                # degeneration.  A Sundman leg ends at the regular point w = 0,
+                # so there it is a failure.
+                if view is not _sundman_view and any(ev.kind == "blow_up" for ev in stops):
                     events.append(("blow_up", ts[-1], zs[-1].copy()))
                     break
                 raise StiffnessError(
-                    f"step size underflow at parameter {ts[-1]}",
+                    f"step size underflow or overflow at parameter {ts[-1]}",
                     last_param=ts[-1],
                     last_state=zs[-1],
                 )
@@ -580,7 +561,7 @@ def integrate(
                 events.append(("budget_exhausted", t_new, z_new.copy()))
 
     return Trajectory(
-        system=system,
+        system="u1_arc",
         params=params,
         ts=np.array(ts),
         zs=np.array(zs),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,11 +20,6 @@ from .params import ModelParams
 BOUNDARY_CUSHION = 1e-14
 
 
-class Param(Enum):
-    ARC_LENGTH_T = "arc_length_t"
-    A_EQUALS_S = "a_equals_s"
-
-
 @dataclass(frozen=True)
 class U1State:
     """U(1)-symmetric view: a = a_1 = a_2, b = a_3, plus their derivatives."""
@@ -34,7 +28,6 @@ class U1State:
     b: float
     da: float
     db: float
-    param: Param = Param.ARC_LENGTH_T
 
     def on_principal_locus(self, params: ModelParams) -> bool:
         return self.da > 0 and self.db > 0 and eval_F(self.a, self.b, params)[0] > 0
@@ -140,16 +133,9 @@ def gamma2_margin(a, b, k, m2r03, n2r03):
 # -- Hamiltonian and curvature ----------------------------------------------
 
 
-def _require_arc_length(state: U1State, quantity: str):
-    # an a-parametrized state carries (1, db/da) where (da, db) stand
-    if state.param is not Param.ARC_LENGTH_T:
-        raise DomainError(f"{quantity} needs arc-length derivatives; the state is parametrized by a")
-
-
 def hamiltonian(state: U1State, params: ModelParams) -> float:
     """H = sqrt(-Lambda(a, a, b)) - 2 sqrt(x1 x1 x2), x1 = da db and x2 = da^2;
     identically zero along the flow."""
-    _require_arc_length(state, "the Hamiltonian")
     y = (state.a, state.a, state.b)
     lam = eval_lambda(y, params)
     cushion = BOUNDARY_CUSHION * (1 + lambda_magnitude(y, params))
@@ -164,7 +150,6 @@ def hamiltonian(state: U1State, params: ModelParams) -> float:
 
 def mean_curvature(state: U1State, params: ModelParams) -> float:
     """Mean curvature of the principal orbit through the state."""
-    _require_arc_length(state, "the mean curvature")
     if not state.on_principal_locus(params):
         raise DomainError("U1 state off the principal-orbit locus")
     f, fa, fb = eval_F(state.a, state.b, params)

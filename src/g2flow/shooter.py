@@ -2,10 +2,10 @@
 
 Two independent schemes bracket the same solution:
 
-* backward shooting: extend AC ends backwards (a-parametrized, da = 1) until
-  they hit the gamma curve; locate the end parameter c_ac between gamma1 hits
-  (below) and gamma2 hits (above), then read off the closure data beta at the
-  corner;
+* backward shooting: extend AC ends backwards in arc length, stepping in
+  log a, until they hit the gamma curve; locate the end parameter c_ac
+  between gamma1 hits (below) and gamma2 hits (above), then read off the
+  closure data beta at the corner;
 * forward shooting: integrate singular-orbit seeds and locate beta_ac between
   incomplete (below) and ALC (above) outcomes.
 
@@ -13,7 +13,7 @@ Each shot ends at a point that moves continuously through the critical value,
 so both schemes turn it into a signed miss (negative below, positive above)
 and find its sign change with Brent's method (`_root_on_miss`).  The hit
 labels stay as a check on the miss's sign.  The monotone separation behind
-both schemes is the no-cross comparison of a-parametrized solutions.
+both schemes is the no-cross comparison of solutions as curves b(a).
 
 Every shot runs at unit orbit size: the corner is (0, mn), the AC switch is
 T = 10 and forward seeds are taken near t = 0.05.  The orbit size is a unit
@@ -37,7 +37,7 @@ from .errors import (
     StiffnessError,
 )
 from .flow import DEGENERATION_STOPS, Budget, StopEvent, Trajectory, integrate
-from .invariants import Param, U1State, eval_F, gamma2_margin, in_ac_backward
+from .invariants import U1State, eval_F, gamma2_margin, in_ac_backward
 from .params import ModelParams
 from .seeds import NUINF, SeedSpec, seed_ac_end
 
@@ -109,22 +109,16 @@ class ShootResult:
         )
 
 
-def to_aparam(state: U1State) -> U1State:
-    """The same point with a as the parameter: da = 1, db = mu = db/da."""
-    return U1State(
-        a=state.a, b=state.b, da=1.0, db=state.db / state.da, param=Param.A_EQUALS_S
-    )
-
-
 def extend_ac_backward(
     seed: tuple[ModelParams, U1State],
+    T: float,
     gamma: GammaCurve,
     rtol: float = 1e-11,
 ) -> tuple[Trajectory, str]:
-    """Integrate an AC end `(params, state)` backwards until it hits gamma1, gamma2 or the corner."""
+    """Integrate an AC end `(params, state)` at t = T backwards until it hits
+    gamma1, gamma2 or the corner.  The budget ends at t = 0, the tip of the
+    AC end's asymptotic cone; the corner lies near t = (54 mn / sqrt3)^(1/3)."""
     params, state = seed
-    if isinstance(state, U1State) and state.param is Param.ARC_LENGTH_T:
-        state = to_aparam(state)
     inside = in_ac_backward(state.a, state.b, state.da, state.db, params.p, params.q)
     if not (inside and eval_F(state.a, state.b, params)[0] > 0):
         raise SeedError("backward extension needs a state in the backward-AC region (c > 0)")
@@ -136,20 +130,18 @@ def extend_ac_backward(
         StopEvent.make("blow_up"),
     ]
     try:
-        traj = integrate(
-            state, state.a, params, stops, Budget(span=state.a, max_steps=400_000), direction=-1, rtol=rtol
-        )
+        traj = integrate(state, T, params, stops, Budget(span=T, max_steps=400_000), direction=-1, rtol=rtol)
     except StiffnessError as exc:
         raise RegionExitError(f"backward run stalled: {exc}") from exc
 
     _assert_backward_region(traj, params)
-    kind, _tp, z = traj.terminal_event
+    kind, _t, z = traj.terminal_event
     if kind == "hits_gamma1":
         return traj, "gamma1"
     if kind == "hits_gamma2":
         return traj, "gamma2"
     if kind == "hits_corner":
-        b_end = z[0]
+        b_end = z[3]
         if abs(b_end - gamma.corner_b) <= 10 * CORNER_EPS:
             return traj, "corner"
         return traj, "gamma1" if b_end < gamma.corner_b else "gamma2"
@@ -164,7 +156,7 @@ def _assert_backward_region(traj: Trajectory, params: ModelParams):
     if not bool(np.all(inside[:-1])):
         i = int(np.argmin(inside[:-1]))
         raise RegionExitError(
-            f"backward-AC region left at a = {a[i]}: (b - a, mu) = ({b[i] - a[i]}, {db[i] / da[i]})"
+            f"backward-AC region left at t = {traj.ts[i]}, a = {a[i]}: (b - a, db/da) = ({b[i] - a[i]}, {db[i] / da[i]})"
         )
 
 
@@ -245,8 +237,9 @@ def find_c_ac(
 
     The miss of a gamma1 hit is -a_hit^2, that of a gamma2 or corner hit
     (b_hit - mn) / mn; both tend to 0 at c_ac.  c, its bracket and the shots'
-    c are reported times r0^nu_inf, `T_switch` times r0 and the critical
-    run's s and b times r0^3; the closure and the misses are scale-free.
+    c are reported times r0^nu_inf, `T_switch` and the critical run's t times
+    r0, its (x1, x2) times r0^4 and its (a, b) times r0^3; the closure and the
+    misses are scale-free.
     """
     _check_tol(tol)
     gamma = GammaCurve(m=m, n=n, k=k)
@@ -259,15 +252,15 @@ def find_c_ac(
 
     def run(c: float) -> tuple[Trajectory, str]:
         _, state = seed_ac_end(params, c, AC_T_SWITCH)
-        return extend_ac_backward((params, state), gamma, rtol=rtol)
+        return extend_ac_backward((params, state), AC_T_SWITCH, gamma, rtol=rtol)
 
     def shoot(c: float) -> tuple[str, float]:
         traj, hit = run(c)
-        kind, a_end, z = traj.terminal_event
+        kind, _t, z = traj.terminal_event
         if kind == "hits_gamma1":
-            miss = -(a_end**2)
+            miss = -float(z[2] ** 2)
         else:
-            miss = float(z[0] - gamma.corner_b) / gamma.corner_b
+            miss = float(z[3] - gamma.corner_b) / gamma.corner_b
         if (hit == "gamma1") != (miss < 0):
             raise BracketError(f"{hit} hit with miss {miss!r} at c = {c!r}", scan_table=[*history, (c, hit, miss)])
         return hit, miss
@@ -297,55 +290,47 @@ def find_c_ac(
             "T_switch": AC_T_SWITCH * r0,
             "final_hit": hit_final,
         },
-        trajectory=_a_run_in_units(traj_final, in_units),
+        trajectory=_run_in_units(traj_final, in_units),
     )
 
 
-def _a_run_in_units(traj: Trajectory, params: ModelParams) -> Trajectory:
-    """The a-parametrized shot `traj` in the units of `params`: s and b scale
-    as the orbit size cubed, mu not.  It keeps its samples and events, not its
-    interpolants."""
-    s3 = params.r0**3
-    scale = np.array([s3, 1.0])
-    events = [(kind, tp * s3, z * scale) for kind, tp, z in traj.events]
-    return Trajectory(traj.system, params, traj.ts * s3, traj.zs * scale, events)
+def _run_in_units(traj: Trajectory, params: ModelParams) -> Trajectory:
+    """The shot `traj` in the units of `params`: t scales as the orbit size r0,
+    (x1, x2) as r0^4 and (a, b) as r0^3.  It keeps its samples and events, not
+    its interpolants."""
+    r0 = params.r0
+    scale = np.array([r0**4, r0**4, r0**3, r0**3])
+    events = [(kind, t * r0, z * scale) for kind, t, z in traj.events]
+    return Trajectory(traj.system, params, traj.ts * r0, traj.zs * scale, events)
 
 
 def closure_extract_beta(traj: Trajectory, m: int, n: int) -> tuple[float, dict]:
     """Extract beta from the corner limits da^2 -> beta^2 and the b-slope.
 
-    The trajectory must be an a-parametrized shot that terminates near the
-    corner (a -> 0, b -> mn, F -> 0).  Residuals report the mismatch against
-    the smooth-closure boundary template.
+    The trajectory must be a shot that terminates near the corner
+    (a -> 0, b -> mn, F -> 0).  da^2 is read off x2, and both limits are
+    fitted in a over the step ends near the corner.  Residuals report the
+    mismatch against the smooth-closure boundary template.
     """
-    if traj.system != "u1_a":
-        raise ClosureError("closure extraction needs an a-parametrized trajectory")
     corner_b = float(m * n)
-    s = traj.ts
-    b = traj.zs[:, 0]
-    mu = traj.zs[:, 1]
-    s_end = s[-1]
+    _, x2, a, b = traj.zs.T
+    a_end = a[-1]
     scale = corner_b
-    resid: dict = {"b_end_mismatch": abs(b[-1] - corner_b) / scale, "a_end": abs(s_end) / scale}
+    resid: dict = {"b_end_mismatch": abs(b[-1] - corner_b) / scale, "a_end": abs(a_end) / scale}
     if resid["b_end_mismatch"] > 1e-3 or resid["a_end"] > 1e-3:
         raise ClosureError("trajectory does not terminate at the corner", residuals=resid)
 
-    window = np.abs(s) <= 20 * abs(s_end)
-    window &= np.abs(s) > 0
+    window = np.abs(a) <= 20 * abs(a_end)
+    window &= np.abs(a) > 0
     if np.count_nonzero(window) < 6:
-        window = np.zeros_like(s, dtype=bool)
+        window = np.zeros_like(a, dtype=bool)
         window[-8:] = True
-    sw, bw, muw = s[window], b[window], mu[window]
-    params = ModelParams.kmn(m, n, 1.0)
-    da2 = np.empty_like(sw)
-    for i, (si, bi, mi) in enumerate(zip(sw, bw, muw)):
-        f = eval_F(si, bi, params)[0]
-        if f <= 0 or mi <= 0:
-            raise ClosureError("F or mu non-positive in the fit window", residuals=resid)
-        da2[i] = (math.sqrt(f) / (2 * mi)) ** (2.0 / 3.0)
+    aw, bw, da2 = a[window], b[window], x2[window]
+    if not np.all(da2 > 0):
+        raise ClosureError("da^2 non-positive in the fit window", residuals=resid)
 
-    # even expansions in s: da^2 = beta^2 + O(s^2), b = corner + D s^2 + O(s^4)
-    basis = np.column_stack([np.ones_like(sw), sw**2])
+    # even expansions in a: da^2 = beta^2 + O(a^2), b = corner + D a^2 + O(a^4)
+    basis = np.column_stack([np.ones_like(aw), aw**2])
     coef_da2, *_ = np.linalg.lstsq(basis, da2, rcond=None)
     coef_b, *_ = np.linalg.lstsq(basis, bw - corner_b, rcond=None)
     A0 = coef_da2[0]
@@ -366,18 +351,17 @@ def closure_extract_beta(traj: Trajectory, m: int, n: int) -> tuple[float, dict]
 # -- forward shooting -----------------------------------------------------------
 
 
-def forward_seed(m: int, n: int, beta: float) -> U1State:
-    """The a-parametrized K(m, n) seed of forward shooting, taken at
-    t = 0.05, or at a fraction of it where the series cannot reach."""
+def forward_seed(m: int, n: int, beta: float) -> tuple[float, U1State]:
+    """(t, state) of the K(m, n) seed of forward shooting, taken at t = 0.05,
+    or at a fraction of it where the series cannot reach."""
     for shrink in (1.0, 0.5, 0.25, 0.1):
         try:
             spec = SeedSpec(family="kmn", m=m, n=n, beta=beta, switch_parameter=shrink * 0.05)
             _, state, _ = spec.build()
-            break
+            return spec.t_switch, state
         except SeedError:
             if shrink == 0.1:
                 raise
-    return to_aparam(state)
 
 
 def forward_shot(m: int, n: int, beta: float, rtol: float = 1e-11) -> tuple[str, float]:
@@ -387,26 +371,28 @@ def forward_shot(m: int, n: int, beta: float, rtol: float = 1e-11) -> tuple[str,
     "incomplete": it enters the death quadrant, F vanishes or it blows up,
     miss -(1 / a)^4 there.  Both ends recede as |beta / beta_ac - 1|^(-1/4),
     so the miss is about linear in beta through beta_ac.  "indeterminate" and
-    "seed_error" carry a NaN miss.  The run's span grows from 50 mn until it
-    reaches either side.
+    "seed_error" carry a NaN miss.  The run's span in t starts at
+    (54 * 50 mn / sqrt3)^(1/3), where the cone a = (sqrt3/54) t^3 reaches
+    a = 50 mn, and doubles until the run reaches either side.
     """
     params = ModelParams.kmn(m, n, 1.0)
     try:
-        seed = forward_seed(m, n, beta)
+        t0, seed = forward_seed(m, n, beta)
     except SeedError:
         return "seed_error", math.nan
-    span = 50.0 * max(m * n, 1)
+    span = (54.0 / math.sqrt(3.0) * 50.0 * max(m * n, 1)) ** (1.0 / 3.0)
     stops = [StopEvent.make("reaches_a_equals_b"), StopEvent.make("enters_death_chamber"), *DEGENERATION_STOPS]
     for _ in range(6):
-        traj = integrate(seed, seed.a, params, stops, Budget(span=span), rtol=rtol)
-        kind, a_end, z = traj.terminal_event
+        traj = integrate(seed, t0, params, stops, Budget(span=span), rtol=rtol)
+        kind, _t, z = traj.terminal_event
+        x1, x2, a_end, _ = z
         if kind == "reaches_a_equals_b":
-            if z[1] < 1.0:  # mu = db/da < 1 at the crossing
+            if x1 < x2:  # db/da = x1/x2 < 1 at the crossing
                 return "alc", (1.0 / a_end) ** 4
             return "indeterminate", math.nan
         if kind in ("enters_death_chamber", "F_vanishes", "blow_up"):
             return "incomplete", -((1.0 / a_end) ** 4)
-        span *= 8.0
+        span *= 2.0
     return "indeterminate", math.nan
 
 

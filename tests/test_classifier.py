@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from g2flow import classify, shooter
+from g2flow import classify, flow, shooter
 from g2flow.classify import (
     ClassifyBudget,
     alc_strict_supported,
@@ -96,13 +96,13 @@ class TestChambersDefinedOnce:
     @pytest.mark.parametrize("params", DRIFT_PARAMS, ids=lambda p: f"p={p.p:g},q={p.q:g}")
     def test_event_margins_agree_with_membership(self, params):
         def margin(kind, **data):
-            return _margin_fn(StopEvent.make(kind, **data), "u1_arc", params, None)[0]
+            return _margin_fn(StopEvent.make(kind, **data), params, None)[0]
 
         alc, alc_strict = margin("enters_alc_chamber"), margin("enters_alc_chamber", strict=True)
         death = margin("enters_death_chamber")
         seen = set()
         for st in wall_states(params, np.random.default_rng(17)):
-            z = state_to_vec(st)[1]
+            z = state_to_vec(st)
             st = vec_to_state("u1_arc", 0.0, z)  # the (a, b, da, db) the margins read
             mem = chamber_membership(st, params)
             assert ("alc_chamber" in mem) == (alc(0.0, z) > 0)
@@ -126,7 +126,7 @@ class TestChambersDefinedOnce:
         for st in states:
             inside = "ac_backward" in chamber_membership(st, params)
             with pytest.raises(Admitted if inside else SeedError):
-                shooter.extend_ac_backward((params, st), gamma)
+                shooter.extend_ac_backward((params, st), 10.0, gamma)
             admitted_count += inside
         assert 0 < admitted_count < len(states)
 
@@ -152,12 +152,11 @@ class TestExtractEll:
         assert e3 == pytest.approx(ell, abs=1e-6)
 
     def test_refuses_trajectories_outside_the_arc_length_system(self):
-        """ell is read off (x1, x2, a, b) in arc length: a full or an a-parametrized run is refused."""
+        """ell is read off (x1, x2, a, b) in arc length: a run of the full system is refused."""
         ts = np.array([800.0, 1600.0])
-        for system, width in (("full", 6), ("u1_a", 2)):
-            traj = Trajectory(system=system, params=ModelParams.cone(), ts=ts, zs=np.ones((2, width)))
-            with pytest.raises(DomainError, match="arc-length"):
-                extract_alc_ell(traj)
+        traj = Trajectory(system="full", params=ModelParams.cone(), ts=ts, zs=np.ones((2, 6)))
+        with pytest.raises(DomainError, match="arc-length"):
+            extract_alc_ell(traj)
 
 
 class TestClassify:
@@ -197,6 +196,27 @@ class TestClassify:
             SeedSpec(family="cs_end", c=-1.0, switch_parameter=0.1), confirm_blowup=True
         )
         assert v.diagnostics.get("confirmed") in ("F_vanishes", "blow_up")
+
+    def test_confirm_leg_from_the_death_entry_steps_in_the_sundman_clock(self, monkeypatch):
+        """The confirm leg starts at the located death entry, where the
+        cushioned death margin is about 0.  integrate picks the clock on the
+        uncushioned margin, so the leg steps in the Sundman clock and ends at a
+        located F_vanishes with no failed step; picked on the cushioned margin
+        it stepped in t and ended in a step underflow relabelled blow_up."""
+        failed = []
+
+        class Watching(flow.DOP853):
+            def step(self):
+                super().step()
+                failed.append(self.status == "failed")
+
+        monkeypatch.setattr(flow, "DOP853", Watching)
+        beta_ac = 2.1507011588  # K(1,2)
+        v = classify_trajectory(
+            SeedSpec(family="kmn", m=1, n=2, beta=0.6 * beta_ac, switch_parameter=0.05), confirm_blowup=True
+        )
+        assert v.kind == "Incomplete" and v.reason == "death_quadrant"
+        assert v.diagnostics["confirmed"] == "F_vanishes" and failed and not any(failed)
 
     def test_symmetric_seed_stiffness_is_indeterminate(self, monkeypatch):
         """A stalled run on an SU(2)^3-symmetric seed gives a verdict, like every other leg."""

@@ -280,13 +280,17 @@ class TestFindAcCmd:
         assert (tmp_path / "critical_trajectory.csv").exists()
         cols = read_csv(tmp_path / "critical_trajectory.csv")
         assert cols["a"][-1] < 0.01  # terminates near the corner
-        # the run is parametrized by a: no arc-length derivatives, so no H or mean curvature
-        assert np.all(np.isnan(cols["t"])) and np.all(np.isnan(cols["H"]))
-        assert np.all(np.isnan(cols["mean_curvature"]))
+        # the run is in arc length: every row has its t, and H = 0 checks it.
+        # H drifts where the run starts, at the largest scale; it keeps that
+        # drift into the corner, where the orbital volume 2 da^2 db tends to 0
+        assert np.all(np.isfinite(cols["t"])) and np.all(np.diff(cols["t"]) < 0)
+        volume = 2 * cols["da"] ** 2 * cols["db"]
+        assert np.all(np.abs(cols["H"]) <= 1e-10 * (1 + np.max(volume)))
+        assert np.all(np.isfinite(cols["mean_curvature"]))
 
     def test_r0_is_a_unit(self, tmp_path):
         """At r0 = 2, beta_ac is the r0 = 1 value, c_ac is 2^nu_inf times it, and
-        the critical run has s, a and b times 8 and the same mu = db."""
+        the critical run has t times 2, a and b times 8 and da and db times 4."""
         reports, cols = {}, {}
         for r0 in ("1", "2"):
             out = tmp_path / r0
@@ -296,9 +300,8 @@ class TestFindAcCmd:
         beta = [reports[r0]["beta_ac_forward"]["critical_value"] for r0 in ("1", "2")]
         c_ac = [reports[r0]["c_ac_backward"]["critical_value"] for r0 in ("1", "2")]
         assert beta[1] == beta[0] and c_ac[1] == 2.0**NUINF * c_ac[0]
-        for name in ("s", "a", "b"):
-            assert np.array_equal(cols["2"][name], 8.0 * cols["1"][name])
-        assert np.array_equal(cols["2"]["db"], cols["1"]["db"])
+        for name, scale in (("t", 2.0), ("s", 8.0), ("a", 8.0), ("b", 8.0), ("da", 4.0), ("db", 4.0)):
+            assert np.array_equal(cols["2"][name], scale * cols["1"][name])
 
     def test_tight_tolerance_is_kept(self, tmp_path):
         rc = main(["find-ac", "--m", "1", "--n", "1", "--tol", "1e-10", "--out-dir", str(tmp_path)])

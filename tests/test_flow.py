@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,14 +18,15 @@ from g2flow.flow import (
     StopEvent,
     Trajectory,
     _vf_u1_arc,
-    _vf_u1_log_a,
+    _vf_u1_backward,
     integrate,
     state_to_vec,
+    vec_to_state,
 )
-from g2flow.invariants import Param, U1State, eval_F, eval_lambda
+from g2flow.invariants import U1State, eval_F, eval_lambda
 from g2flow.params import ModelParams
 from g2flow.seeds import cone_state, seed_ac_end, seed_delta_su2, seed_kmn
-from g2flow.shooter import AC_T_SWITCH, CORNER_EPS, to_aparam
+from g2flow.shooter import AC_T_SWITCH, CORNER_EPS
 
 RNG = np.random.default_rng(11)
 SQRT3 = math.sqrt(3.0)
@@ -73,7 +77,7 @@ class TestRhs:
     def test_u1_restriction_of_full(self):
         params = ModelParams.plain(-1.0, 4.0)
         st = U1State(a=1.0, b=3.0, da=1.3, db=0.6)
-        vec_u1 = _vf_u1_arc(params)(0.0, state_to_vec(st)[1])
+        vec_u1 = _vf_u1_arc(params)(0.0, state_to_vec(st))
         f, fa, fb = eval_F(1.0, 3.0, params)
         assert vec_u1[0] == pytest.approx(fa / (4 * math.sqrt(f)), rel=1e-13)
         assert vec_u1[1] == pytest.approx(fb / (2 * math.sqrt(f)), rel=1e-13)
@@ -90,7 +94,7 @@ class TestRhs:
         for b in (9.6e136, 1e200):
             assert not all(math.isfinite(v) for v in eval_F(1.96, b, params))
             assert not np.all(np.isfinite(_vf_u1_arc(params)(0.0, np.array([1.0, 1.0, 1.96, b]))))
-            assert not np.all(np.isfinite(_vf_u1_log_a(params)(0.0, np.array([b, 1.0, 1.96]))))
+            assert not np.all(np.isfinite(_vf_u1_backward(params)(0.0, np.array([1.0, 1.0, 1.96, b, 0.0]))))
 
 
 class TestBrandhuber:
@@ -308,40 +312,43 @@ def _b7_arc_run():
     return st, 0.1, ModelParams.delta_su2(1.0), 3.0
 
 
-def _kmn_a_run():
-    _, u = seed_kmn(1, 2, 4.0, t_switch=0.05)
-    return U1State(a=u.a, b=u.b, da=1.0, db=u.db / u.da, param=Param.A_EQUALS_S), u.a, ModelParams.kmn(1, 2, 1.0), 2.0
-
-
-def _ac_backward_a_run():
-    """The backward a-parametrized leg from an AC end near c_ac(1,2) that c_ac shooting takes."""
+def _kmn_backward_run():
+    """A backward leg of the K(1,2) run at beta = 4, from t = 2 towards the singular orbit."""
     params = ModelParams.kmn(1, 2, 1.0)
-    _, st = seed_ac_end(params, 991210.0, 10.0)
-    seed = to_aparam(st)
-    return seed, seed.a, params, -0.9 * seed.a
+    _, u = seed_kmn(1, 2, 4.0, t_switch=0.05)
+    fwd = integrate(u, 0.05, params, [], Budget(span=1.95))
+    return vec_to_state(fwd.system, fwd.ts[-1], fwd.zs[-1]), fwd.ts[-1], params, -1.9
+
+
+def _ac_backward_run():
+    """The backward leg from an AC end near c_ac(1,2) that c_ac shooting takes, to t = 5."""
+    params = ModelParams.kmn(1, 2, 1.0)
+    _, st = seed_ac_end(params, 991210.0, AC_T_SWITCH)
+    return st, AC_T_SWITCH, params, 5.0 - AC_T_SWITCH
 
 
 class TestDenseOutput:
     @pytest.mark.parametrize(
         "run",
-        [_b7_arc_run, _kmn_a_run, _ac_backward_a_run],
-        ids=["b7_u1_arc", "kmn_u1_a", "ac_u1_a_backward"],
+        [_b7_arc_run, _kmn_backward_run, _ac_backward_run],
+        ids=["b7_u1_arc", "kmn_backward", "ac_backward"],
     )
     def test_matches_solve_ivp_bit_for_bit(self, run):
         """Steps and step interpolants equal scipy's own DOP853 driver exactly.
 
-        An a-parametrized leg steps in sigma = log(a / a0) on (b, mu, a) up to
-        its located budget stop; scipy runs the same field from sigma = 0 to a
-        terminal event at the budget, and both are read in the s = a view.
+        A backward leg steps in sigma = log(a / a0) on (x1, x2, a, b, t) up
+        to its located budget stop in t; scipy runs the same field from
+        sigma = 0 to a terminal event at the budget, and both are read in the
+        arc-length view.
         """
         seed, t0, params, span = run()  # a negative span runs backwards
         rtol = 1e-11
         direction = 1 if span > 0 else -1
         traj = integrate(seed, t0, params, [], Budget(span=abs(span)), direction=direction, rtol=rtol)
-        system, z0 = state_to_vec(seed)
-        assert traj.system == system
+        z0 = state_to_vec(seed)
+        assert traj.system == "u1_arc"
         atol = flow.ATOL_SCALE * max(1.0, float(np.max(np.abs(z0))))
-        if system == "u1_arc":
+        if direction > 0:
             res = solve_ivp(
                 _vf_u1_arc(params), (t0, t0 + span), z0, method="DOP853", dense_output=True, rtol=rtol, atol=atol
             )
@@ -355,25 +362,25 @@ class TestDenseOutput:
         t_end = t0 + span
 
         def budget(_sigma, y):
-            return y[2] - t_end
+            return y[4] - t_end
 
         budget.terminal = True
         res = solve_ivp(
-            _vf_u1_log_a(params), (0.0, direction * math.inf), [*z0, t0], method="DOP853",
+            _vf_u1_backward(params), (0.0, -math.inf), [*z0, t0], method="DOP853",
             dense_output=True, events=budget, rtol=rtol, atol=atol,
         )
         assert res.status == 1 and len(res.t) > 10
         assert np.array_equal([seg.tau_lo for seg in traj.segments], res.t[:-1])
-        assert np.array_equal(traj.ts[:-1], res.y[2, :-1])
-        assert np.array_equal(traj.zs[:-1], res.y[:2, :-1].T)
-        # the stop is reported at exactly the budget's a, with the state at its sigma
+        assert np.array_equal(traj.ts[:-1], res.y[4, :-1])
+        assert np.array_equal(traj.zs[:-1], res.y[:4, :-1].T)
+        # the stop is reported at exactly the budget's t, with the state at its sigma
         sigma_stop = traj.segments[-1].tau_hi
         assert traj.terminal_event[0] == "budget_exhausted" and traj.ts[-1] == t_end
-        assert np.array_equal(traj.zs[-1], res.sol(sigma_stop)[:2])
+        assert np.array_equal(traj.zs[-1], res.sol(sigma_stop)[:4])
         for i, seg in enumerate(traj.segments):
             sigmas = flow._interior(seg.tau_lo, seg.tau_hi, 3)
-            for (a, z), y in zip(traj.step_points(i, 3), res.sol(sigmas).T):
-                assert a == y[2] and np.array_equal(z, y[:2])
+            for (t, z), y in zip(traj.step_points(i, 3), res.sol(sigmas).T):
+                assert t == y[4] and np.array_equal(z, y[:4])
 
     @pytest.mark.parametrize("direction", [+1, -1])
     def test_interpolate_returns_stored_nodes(self, direction):
@@ -406,14 +413,15 @@ class TestDenseOutput:
 
 
 class TestLogAClock:
-    """a-parametrized legs step in sigma = log(a / a0) and are read in s = a."""
+    """Backward legs step in sigma = log(a / a0) on (x1, x2, a, b, t) and are read in t."""
 
     # c_ac(1, 2) at r0 = 1, shot to tol 1e-10
-    C_AC_12 = 991210.3225087696
+    C_AC_12 = 991210.3222076684
 
     def test_critical_backward_leg_reaches_the_corner_in_few_attempts(self, monkeypatch):
-        """c_ac shooting's critical (1,2) leg, from a = 30.4 to the corner at
-        a = 1e-5: 49 step attempts, where stepping in s = a took 97."""
+        """c_ac shooting's critical (1,2) leg, from t = 10 (a = 30.4) to the
+        corner at a = 1e-5: 44 step attempts, none rejected, where (b, db/da)
+        stepped in log a took 49 and stepped in s = a took 97."""
         attempts = []
 
         class Counting(flow.DOP853):
@@ -425,43 +433,43 @@ class TestLogAClock:
         monkeypatch.setattr(flow, "DOP853", Counting)
         params = ModelParams.kmn(1, 2, 1.0)
         _, st = seed_ac_end(params, self.C_AC_12, AC_T_SWITCH)
-        seed = to_aparam(st)
         corner = StopEvent.make("hits_corner", eps=CORNER_EPS)
-        traj = integrate(seed, seed.a, params, [corner], Budget(span=seed.a), direction=-1)
-        kind, a_end, (b_end, _) = traj.terminal_event
+        traj = integrate(st, AC_T_SWITCH, params, [corner], Budget(span=AC_T_SWITCH), direction=-1)
+        kind, _t, (_, _, a_end, b_end) = traj.terminal_event
         assert kind == "hits_corner" and abs(a_end / CORNER_EPS - 1) <= 1e-9 and abs(b_end - 2.0) <= 1e-4
-        assert sum(attempts) <= 60
+        assert sum(attempts) <= 50
 
     def test_interpolate_returns_stored_nodes_on_a_backward_leg(self):
-        seed, a0, params, span = _ac_backward_a_run()
-        traj = integrate(seed, a0, params, [], Budget(span=-span), direction=-1)
+        seed, t0, params, span = _ac_backward_run()
+        traj = integrate(seed, t0, params, [], Budget(span=-span), direction=-1)
         assert len(traj.segments) == len(traj) - 1 > 10 and np.all(np.diff(traj.ts) < 0)
         for t, z in zip(traj.ts, traj.zs):
             assert np.array_equal(traj.interpolate(t), z)
         # between two nodes, b lies between theirs
         i = len(traj) // 2
         mid = traj.interpolate(0.5 * (traj.ts[i] + traj.ts[i + 1]))
-        assert min(traj.zs[i][0], traj.zs[i + 1][0]) <= mid[0] <= max(traj.zs[i][0], traj.zs[i + 1][0])
+        assert min(traj.zs[i][3], traj.zs[i + 1][3]) <= mid[3] <= max(traj.zs[i][3], traj.zs[i + 1][3])
         with pytest.raises(ValueError):
-            traj.interpolate(traj.ts[-1] - 1e-3 * a0)
+            traj.interpolate(traj.ts[-1] - 1e-3 * t0)
 
     def test_backward_leg_to_a_zero_ends_and_reports_a(self):
-        """A budget at a = 0 has no finite sigma: F(0, b) <= 0, so the leg meets
-        F -> 0 first and ends in a step underflow, which reports a, not sigma."""
-        seed, a0, params, _ = _ac_backward_a_run()
+        """A leg from below c_ac towards a = 0 meets F -> 0 first, where its step
+        fails; the failure reports t and the arc-length state, with a > 0."""
+        seed, t0, params, _ = _ac_backward_run()
         with pytest.raises(StiffnessError) as exc:
-            integrate(seed, a0, params, [], Budget(span=a0, max_steps=1000), direction=-1)
-        a_end = exc.value.last_param
-        assert 0 < a_end < 1e-3 * a0 and str(a_end) in str(exc.value)
-        traj = integrate(seed, a0, params, [], Budget(span=a0, max_steps=20), direction=-1)
-        kind, a_stop, _ = traj.terminal_event
+            integrate(seed, t0, params, [], Budget(span=t0, max_steps=1000), direction=-1)
+        t_fail, z_fail = exc.value.last_param, exc.value.last_state
+        assert 0 < t_fail < t0 and str(t_fail) in str(exc.value)
+        assert 0 < z_fail[2] < 1e-3 * seed.a
+        traj = integrate(seed, t0, params, [], Budget(span=t0, max_steps=20), direction=-1)
+        kind, t_stop, _ = traj.terminal_event
         assert kind == "budget_exhausted" and len(traj.segments) == 20
-        assert a_stop == traj.ts[-1] and a_end < a_stop < a0
+        assert t_stop == traj.ts[-1] and t_fail < t_stop < t0
 
     def test_refuses_a_non_positive_a(self):
-        seed, a0, params, _ = _kmn_a_run()
+        seed, t0, params, _ = _kmn_backward_run()
         with pytest.raises(SeedError):
-            integrate(dataclasses.replace(seed, a=-a0), -a0, params, [], Budget(span=1.0))
+            integrate(dataclasses.replace(seed, a=-seed.a), t0, params, [], Budget(span=1.0), direction=-1)
 
 
 def _oscillator(_t, y):
@@ -514,3 +522,22 @@ class TestDop853Port:
                 assert np.array_equal(sol(inside[2]), ref_sol(inside[2]))
         assert steps > 10
         assert ours.status == ("failed" if fun is _riccati else "finished")
+
+    def test_an_infinite_step_fails_instead_of_hanging(self):
+        """A zero field towards t = inf grows the step tenfold per step until
+        h_abs overflows; the step then fails.  scipy's stepper never returns
+        there, so the run is in a subprocess with a timeout."""
+        code = (
+            "import math, numpy as np; from g2flow.dop853 import DOP853\n"
+            "s = DOP853(lambda t, y: np.zeros(1), 0.0, np.array([1.0]), math.inf, rtol=1e-9, atol=1e-12)\n"
+            "n = 0\n"
+            "while s.status == 'running' and n < 1000:\n"
+            "    s.step(); n += 1\n"
+            "print(s.status, n)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", code], capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dop853.__file__))},
+        )
+        status, steps = out.stdout.split()
+        assert out.returncode == 0 and status == "failed" and 300 < int(steps) < 1000

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from g2flow.errors import DomainError
 from g2flow.invariants import (
-    Param,
     U1State,
     eval_F,
     eval_lambda,
@@ -147,19 +146,6 @@ def _mean_curvature_6d(y, da, p, q):
         g = y[i] * (-y[i] ** 2 + y[j] ** 2 + y[k] ** 2 - p * q) - (p - q) * y[j] * y[k]
         total += da[i] * g
     return total / (2 * (da[0] * da[1] * da[2]) ** 2)
-
-
-class TestArcLengthOnly:
-    """An a-parametrized state holds (1, db/da), not (da, db): H and the mean curvature refuse it."""
-
-    @pytest.mark.parametrize("quantity", [hamiltonian, mean_curvature], ids=["hamiltonian", "mean_curvature"])
-    def test_a_parametrized_state_is_refused(self, quantity):
-        params = ModelParams.kmn(1, 2, 1.0)
-        arc = U1State(a=4.0, b=3.0, da=1.5, db=0.9)
-        assert math.isfinite(quantity(arc, params))
-        a_param = U1State(a=4.0, b=3.0, da=1.0, db=0.9 / 1.5, param=Param.A_EQUALS_S)
-        with pytest.raises(DomainError, match="parametrized by a"):
-            quantity(a_param, params)
 
 
 class TestMeanCurvature:

@@ -8,11 +8,11 @@ import scipy.optimize
 from g2flow import dop853, shooter
 from g2flow.dop853 import brentq
 from g2flow.errors import BracketError, ClosureError, SeedError
-from g2flow.flow import Budget, StopEvent, _margin_fn, integrate
-from g2flow.invariants import Param, U1State
+from g2flow.flow import Budget, StopEvent, _margin_fn, integrate, vec_to_state
 from g2flow.params import ModelParams
 from g2flow.seeds import NUINF, seed_ac_end, seed_kmn
 from g2flow.shooter import (
+    AC_T_SWITCH,
     GammaCurve,
     closure_extract_beta,
     extend_ac_backward,
@@ -20,8 +20,15 @@ from g2flow.shooter import (
     find_c_ac,
     TOL_FLOOR,
     _root_on_miss,
-    to_aparam,
 )
+
+
+def _b_at_a(traj, a: float) -> float:
+    """b where the run passes a, on its step interpolants."""
+    az = traj.zs[:, 2]
+    i = int(np.flatnonzero((az[:-1] - a) * (az[1:] - a) <= 0)[0])
+    t = brentq(lambda t: traj.interpolate(t)[2] - a, traj.ts[i], traj.ts[i + 1], xtol=1e-14)
+    return traj.interpolate(t)[3]
 
 
 class TestGammaCurve:
@@ -35,10 +42,9 @@ class TestGammaCurve:
         gamma = GammaCurve(m=1, n=2, k=1.5)
         # the hits_gamma1 stop of a backward run reads b - mn, whatever a
         stop = StopEvent.make("hits_gamma1", level=gamma.corner_b)
-        z = np.array([gamma.corner_b, 0.1])
-        g, _ = _margin_fn(stop, "u1_a", ModelParams.kmn(1, 2, 1.0), z)
+        g, _ = _margin_fn(stop, ModelParams.kmn(1, 2, 1.0), None)
         for a in (0.5, 1.0, 3.0):
-            assert g(a, z) == 0.0
+            assert g(1.0, np.array([0.1, 1.0, a, gamma.corner_b])) == 0.0
 
     def test_gamma2_value(self):
         gamma = GammaCurve(m=1, n=2, k=1.5)
@@ -54,7 +60,7 @@ class TestBackwardExtension:
         params = ModelParams.kmn(1, 2, 1.0)
         gamma = GammaCurve(m=1, n=2)
         _, st = seed_ac_end(params, 1.0, 10.0)
-        traj, hit = extend_ac_backward((params, st), gamma)
+        traj, hit = extend_ac_backward((params, st), 10.0, gamma)
         assert hit == "gamma1"
 
     def test_large_c_hits_gamma2(self):
@@ -62,15 +68,15 @@ class TestBackwardExtension:
         gamma = GammaCurve(m=1, n=2)
         cscale = (54.0 / math.sqrt(3.0) * 2.0) ** (NUINF / 3.0)
         _, st = seed_ac_end(params, 8.0 * cscale, 10.0)
-        traj, hit = extend_ac_backward((params, st), gamma)
+        traj, hit = extend_ac_backward((params, st), 10.0, gamma)
         assert hit == "gamma2"
 
     def test_mu_decreases_backward(self):
         params = ModelParams.kmn(1, 2, 1.0)
         gamma = GammaCurve(m=1, n=2)
         _, st = seed_ac_end(params, 1.0, 10.0)
-        traj, _ = extend_ac_backward((params, st), gamma)
-        mu = traj.zs[:, 1]
+        traj, _ = extend_ac_backward((params, st), 10.0, gamma)
+        mu = traj.zs[:, 0] / traj.zs[:, 1]  # db/da = x1 / x2
         assert np.all(np.diff(mu) < 0)  # backward direction: mu shrinks
 
     def test_c_nonpositive_rejected(self):
@@ -78,7 +84,7 @@ class TestBackwardExtension:
         gamma = GammaCurve(m=1, n=2)
         _, st = seed_ac_end(params, 0.0, 10.0)
         with pytest.raises(SeedError):
-            extend_ac_backward((params, st), gamma)
+            extend_ac_backward((params, st), 10.0, gamma)
 
 
 class TestClosure:
@@ -87,16 +93,13 @@ class TestClosure:
         m, n, beta = 1, 2, 1.0
         params = ModelParams.kmn(m, n, 1.0)
         _, st = seed_kmn(m, n, beta, t_switch=0.02)
-        seed = to_aparam(st)
-        # forward in s (staying clear of the F = 0 wall), then reverse to the corner
-        fwd = integrate(seed, seed.a, params, [], Budget(span=0.4), rtol=1e-12)
-        end = U1State(a=fwd.ts[-1], b=fwd.zs[-1][0], da=1.0, db=fwd.zs[-1][1], param=Param.A_EQUALS_S)
-        from g2flow.flow import StopEvent
-
+        # forward in t (staying clear of the F = 0 wall), then back to the corner
+        fwd = integrate(st, 0.02, params, [], Budget(span=0.4), rtol=1e-12)
+        end = vec_to_state(fwd.system, fwd.ts[-1], fwd.zs[-1])
         back = integrate(
-            end, end.a, params,
+            end, fwd.ts[-1], params,
             [StopEvent.make("hits_corner", eps=1e-5)],
-            Budget(span=end.a), direction=-1, rtol=1e-12,
+            Budget(span=fwd.ts[-1]), direction=-1, rtol=1e-12,
         )
         beta_rec, resid = closure_extract_beta(back, m, n)
         assert beta_rec == pytest.approx(beta, rel=1e-6)
@@ -107,7 +110,7 @@ class TestClosure:
         gamma = GammaCurve(m=1, n=2)
         cscale = (54.0 / math.sqrt(3.0) * 2.0) ** (NUINF / 3.0)
         _, st = seed_ac_end(params, 8.0 * cscale, 10.0)
-        traj, hit = extend_ac_backward((params, st), gamma)
+        traj, hit = extend_ac_backward((params, st), 10.0, gamma)
         assert hit == "gamma2"
         with pytest.raises(ClosureError):
             closure_extract_beta(traj, 1, 2)
@@ -115,22 +118,20 @@ class TestClosure:
 
 class TestNoCross:
     def test_ordered_solutions_stay_ordered_backward(self):
-        """b1 > b2 with db1 < db2 at common s persists while in the region."""
+        """b1 > b2 with db1 < db2 at common a persists while in the region."""
         params = ModelParams.kmn(1, 2, 1.0)
         gamma = GammaCurve(m=1, n=2)
         cscale = (54.0 / math.sqrt(3.0) * 2.0) ** (NUINF / 3.0)
         trajs = []
         for c in (1.0 * cscale, 2.0 * cscale):
             _, st = seed_ac_end(params, c, 10.0)
-            traj, _ = extend_ac_backward((params, st), gamma)
+            traj, _ = extend_ac_backward((params, st), 10.0, gamma)
             trajs.append(traj)
-        t1, t2 = trajs  # t2 has the larger c: should lie above (larger b at same s)
-        lo = max(t1.ts[-1], t2.ts[-1]) * 1.05
-        hi = min(t1.ts[0], t2.ts[0]) * 0.95
-        for s in np.linspace(lo, hi, 25):
-            b1 = t1.interpolate(s)[0]
-            b2 = t2.interpolate(s)[0]
-            assert b2 > b1
+        t1, t2 = trajs  # t2 has the larger c: should lie above (larger b at same a)
+        lo = max(t1.zs[-1, 2], t2.zs[-1, 2]) * 1.05
+        hi = min(t1.zs[0, 2], t2.zs[0, 2]) * 0.95
+        for a in np.linspace(lo, hi, 25):
+            assert _b_at_a(t2, a) > _b_at_a(t1, a)
 
     def test_forward_no_cross_from_seeds(self):
         """Seeds with larger beta sit below in b at matched a (forward ordering)."""
@@ -138,12 +139,11 @@ class TestNoCross:
         trajs = []
         for beta in (3.0, 4.0):
             _, st = seed_kmn(1, 2, beta, t_switch=0.02)
-            seed = to_aparam(st)
-            trajs.append(integrate(seed, seed.a, params, [], Budget(span=2.0), rtol=1e-11))
-        lo = max(trajs[0].ts[0], trajs[1].ts[0]) * 1.3
-        hi = min(trajs[0].ts[-1], trajs[1].ts[-1]) * 0.9
-        for s in np.linspace(lo, hi, 20):
-            assert trajs[0].interpolate(s)[0] > trajs[1].interpolate(s)[0]
+            trajs.append(integrate(st, 0.02, params, [], Budget(span=2.0), rtol=1e-11))
+        lo = max(trajs[0].zs[0, 2], trajs[1].zs[0, 2]) * 1.3
+        hi = min(trajs[0].zs[-1, 2], trajs[1].zs[-1, 2]) * 0.9
+        for a in np.linspace(lo, hi, 20):
+            assert _b_at_a(trajs[0], a) > _b_at_a(trajs[1], a)
 
 
 class TestBisections:
@@ -175,6 +175,10 @@ class TestBisections:
             assert [(hit, miss) for _, hit, miss in res.history] == [(hit, miss) for _, hit, miss in unit.history]
             assert res.closure == unit.closure
             assert res.meta["T_switch"] == shooter.AC_T_SWITCH * r0
+            # the critical run is the r0 = 1 run in r0's units, exactly: r0 is a power of two
+            scale_z = np.array([r0**4, r0**4, r0**3, r0**3])
+            assert np.array_equal(res.trajectory.ts, r0 * unit.trajectory.ts)
+            assert np.array_equal(res.trajectory.zs, scale_z * unit.trajectory.zs)
 
     def test_beta_ac_scale_invariant(self):
         """beta_ac is scale-free: the result at any r0 is the r0 = 1 result."""
@@ -193,12 +197,12 @@ class TestBisections:
         res = find_c_ac(1, 2, 1.0, tol=1e-6)
         params = ModelParams.kmn(1, 2, 1.0)
         gamma = GammaCurve(m=1, n=2)
-        _, st = seed_ac_end(params, res.critical_value, 10.0)
-        traj, _ = extend_ac_backward((params, st), gamma)
+        _, st = seed_ac_end(params, res.critical_value, AC_T_SWITCH)
+        traj, _ = extend_ac_backward((params, st), AC_T_SWITCH, gamma)
         # the result carries this same run
         assert np.array_equal(res.trajectory.ts, traj.ts) and np.array_equal(res.trajectory.zs, traj.zs)
-        for s, (b, mu) in zip(traj.ts[:-1], traj.zs[:-1]):
-            assert gamma.gamma2_margin(s, b) > 0
+        for _, _, a, b in traj.zs[:-1]:
+            assert gamma.gamma2_margin(a, b) > 0
 
     @pytest.mark.parametrize("shoot", [find_c_ac, find_beta_ac], ids=["c_ac", "beta_ac"])
     def test_tolerance_below_floor_rejected(self, shoot):
@@ -207,6 +211,16 @@ class TestBisections:
             shoot(1, 1, 1.0, tol=1e-20)
         with pytest.raises(ValueError):
             shoot(1, 1, 1.0, tol=0.5 * TOL_FLOOR)
+
+
+class TestShotHamiltonian:
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 3)])
+    def test_critical_run_conserves_h(self, m, n):
+        """Every shot is an arc-length run, so H = 0 checks it: on the critical
+        runs max |H| is 4e-13 to 8e-13 of 1 + the max volume."""
+        res = find_c_ac(m, n, 1.0, tol=1e-10)
+        hmax, vmax = res.trajectory.hamiltonian_drift()
+        assert hmax <= 1e-10 * (1 + vmax)
 
 
 class TestRootOnMiss:
@@ -230,8 +244,8 @@ class TestRootOnMiss:
         """A gamma1 label on a run whose end gives a positive miss is refused, not used."""
         real = shooter.extend_ac_backward
 
-        def mislabelled(seed, gamma, rtol=1e-11):
-            traj, hit = real(seed, gamma, rtol=rtol)
+        def mislabelled(seed, T, gamma, rtol=1e-11):
+            traj, hit = real(seed, T, gamma, rtol=rtol)
             return traj, "gamma1"
 
         monkeypatch.setattr(shooter, "extend_ac_backward", mislabelled)
